@@ -12,6 +12,11 @@ to exercise arbitrary object arrangements.  Addresses are never reused,
 so headers of released objects linger as stale bytes would in a real
 heap; that matches what the checks can and cannot see afterwards.
 
+Each allocation has one AllocationRecord, keyed by its header address;
+the record holds what the header bytes hold (raw size and type id).
+Deallocation resolves the pointer through DivisionTable.header_lookup,
+the single tag-to-header resolver, and then looks up the record.
+
 Violations on the deallocation paths come back as verdicts rather than
 exceptions, so a replay run can continue after errors.  Exceptions are
 reserved for misuse of the API itself and for arena exhaustion.
@@ -22,18 +27,17 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .frame_math import SLOT_BITS, WrapperFrame, slot_base, wrapper_frame
-from .metadata import HEADER_SIZE, ArenaRangeError, DivisionTable, Header
-from .tagging import (
-    MAX_BIG_TAG,
-    MIN_BIG_TAG,
-    TagError,
-    decode,
-    encode_big,
-    encode_small,
-    is_untagged,
-    untag,
+from .frame_math import SLOT_BITS, WrapperFrame, wrapper_frame
+from .metadata import (
+    HEADER_SIZE,
+    ArenaRangeError,
+    DivisionTable,
+    Header,
+    check_header_fields,
 )
+# decode is imported only so the traced benchmark run (perfbench/layers.py)
+# finds the name it patches in this module
+from .tagging import decode, encode_big, encode_small, is_untagged, untag  # noqa: F401
 from .verdicts import Verdict, VerdictKind
 
 DEFAULT_ARENA_BASE = 1 << 44          # 0x0000_1000_0000_0000
@@ -58,6 +62,7 @@ class AllocationRecord:
     frame: WrapperFrame
     classification: str          # SMALL or BIG
     tagged: int
+    type_id: int = 0
     live: bool = True
     scope_id: int | None = None
 
@@ -99,7 +104,6 @@ class Arena:
         self._jitter = placement_jitter
         self._rng = rng
         self._cursor = base
-        self._headers: dict[int, Header] = {}
         self._by_header: dict[int, AllocationRecord] = {}
         self._records: list[AllocationRecord] = []
         self._next_id = 1
@@ -117,7 +121,7 @@ class Arena:
         end = header + total_bytes
         if end > self.base + self.size:
             raise ArenaExhausted(
-                f"need {total_bytes} bytes at {header:#x}, arena ends at "
+                f"arena exhausted: need {total_bytes} bytes at {header:#x}, arena ends at "
                 f"{self.base + self.size:#x}"
             )
         self._cursor = end
@@ -126,7 +130,6 @@ class Arena:
     def _register(self, header_addr: int, obj_base: int, raw_size: int,
                   total_bytes: int, type_id: int, scope_id: int | None) -> AllocationRecord:
         frame = wrapper_frame(header_addr, header_addr + total_bytes - 1 + self.pad_bytes)
-        self._headers[header_addr] = Header(raw_size, type_id)
         if frame.n <= SLOT_BITS:
             classification = SMALL
             tagged = encode_small(header_addr, obj_base)
@@ -143,6 +146,7 @@ class Arena:
             frame=frame,
             classification=classification,
             tagged=tagged,
+            type_id=type_id,
             scope_id=scope_id,
         )
         self._next_id += 1
@@ -163,6 +167,7 @@ class Arena:
         """
         if size < 1:
             raise ValueError("allocation size must be at least 1")
+        check_header_fields(size, type_id)
         header_addr = self._place(HEADER_SIZE + size)
         return self._register(header_addr, header_addr + HEADER_SIZE, size,
                               HEADER_SIZE + size, type_id, scope_id)
@@ -181,6 +186,7 @@ class Arena:
         extra = -(-HEADER_SIZE // elem_size)
         total = (count + extra) * elem_size
         raw_size = count * elem_size
+        check_header_fields(raw_size, type_id)
         header_addr = self._place(total)
         return self._register(header_addr, header_addr + HEADER_SIZE, raw_size,
                               total, type_id, scope_id)
@@ -189,23 +195,17 @@ class Arena:
         """Move an allocation to a fresh region of new_size bytes.
 
         The wrapper frame is recomputed from scratch at the new
-        placement and the old big-frame entry (if any) is vacated.  A
-        stale input, one whose object is already released, yields a
-        double-free verdict and no reallocation.
+        placement and the old big-frame entry (if any) is vacated.  The
+        input is judged as free judges it: a stale pointer yields a
+        double-free verdict, one whose frame left the arena an
+        out-of-frame verdict, and neither reallocates.
         """
         if new_size < 1:
             raise ValueError("allocation size must be at least 1")
-        if is_untagged(tagged):
-            return Verdict(VerdictKind.UNTRACKED, address=tagged), None
-        old = self._resolve_record(tagged)
-        if old is None or not old.live:
-            return (
-                Verdict(VerdictKind.DOUBLE_FREE, address=untag(tagged),
-                        alloc_id=old.id if old else None),
-                None,
-            )
-        type_id = self._headers[old.header_addr].type_id
-        new = self.alloc(new_size, type_id=type_id, scope_id=old.scope_id)
+        fail, old = self._resolve_live(tagged)
+        if fail is not None:
+            return fail, None
+        new = self.alloc(new_size, type_id=old.type_id, scope_id=old.scope_id)
         # payload would be copied up to min(old, new) here; contents are
         # not modelled, only geometry and metadata
         self._release(old)
@@ -214,38 +214,15 @@ class Arena:
     def free(self, tagged: int) -> Verdict:
         """Release through the hidden base (the header address).
 
-        Big-framed: the entry is vacated first; finding it already zero
-        is the double-free signal.  Small-framed liveness is judged
-        from the allocation record, an extension past what the entry
-        mechanism alone can see.
+        Big-framed: a vacated entry is the double-free signal.
+        Small-framed liveness is judged from the allocation record, an
+        extension past what the entry mechanism alone can see.
         """
-        if is_untagged(tagged):
-            return Verdict(VerdictKind.UNTRACKED, address=tagged)
-        flag, tag, addr = decode(tagged)
-        if flag:
-            header_addr = slot_base(addr) + tag
-            record = self._by_header.get(header_addr)
-            if record is None or not record.live:
-                return Verdict(VerdictKind.DOUBLE_FREE, address=addr,
-                               alloc_id=record.id if record else None)
-            self._release(record)
-            return Verdict(VerdictKind.OK, address=addr, alloc_id=record.id)
-        if not MIN_BIG_TAG <= tag <= MAX_BIG_TAG:
-            raise TagError(f"value {tagged:#x} carries no resolvable tag")
-        try:
-            division, slot = self.table.entry_index(addr, tag)
-        except ArenaRangeError:
-            # the frame base left the arena entirely; the pointer cannot
-            # have stayed inside its wrapper frame
-            return Verdict(VerdictKind.OUT_OF_FRAME, address=addr)
-        prior = self.table.reset_entry(division, slot)
-        if prior == 0:
-            return Verdict(VerdictKind.DOUBLE_FREE, address=addr)
-        record = self._by_header.get(prior)
-        if record is not None and record.live:
-            self._release(record, entry_already_reset=True)
-            return Verdict(VerdictKind.OK, address=addr, alloc_id=record.id)
-        return Verdict(VerdictKind.OK, address=addr)
+        fail, record = self._resolve_live(tagged)
+        if fail is not None:
+            return fail
+        self._release(record)
+        return Verdict(VerdictKind.OK, address=untag(tagged), alloc_id=record.id)
 
     def scope_end(self, records: list[AllocationRecord]) -> None:
         """Epilogue for a closing scope: vacate big-frame entries and
@@ -256,23 +233,25 @@ class Arena:
 
     # -- resolution helpers -------------------------------------------
 
-    def _resolve_record(self, tagged: int) -> AllocationRecord | None:
-        flag, tag, addr = decode(tagged)
-        if flag:
-            return self._by_header.get(slot_base(addr) + tag)
-        if not MIN_BIG_TAG <= tag <= MAX_BIG_TAG:
-            raise TagError(f"value {tagged:#x} carries no resolvable tag")
+    def _resolve_live(self, tagged: int) -> tuple[Verdict | None, AllocationRecord | None]:
+        """(failing verdict, None) or (None, live record) for a pointer
+        handed to a deallocation path."""
+        if is_untagged(tagged):
+            return Verdict(VerdictKind.UNTRACKED, address=tagged), None
+        addr = untag(tagged)
         try:
-            division, slot = self.table.entry_index(addr, tag)
+            record = self._by_header.get(self.table.header_lookup(tagged))
         except ArenaRangeError:
-            return None
-        content = self.table.get_entry(division, slot)
-        if content == 0:
-            return None
-        return self._by_header.get(content)
+            # the frame base left the arena entirely; the pointer cannot
+            # have stayed inside its wrapper frame
+            return Verdict(VerdictKind.OUT_OF_FRAME, address=addr), None
+        if record is None or not record.live:
+            return Verdict(VerdictKind.DOUBLE_FREE, address=addr,
+                           alloc_id=record.id if record else None), None
+        return None, record
 
-    def _release(self, record: AllocationRecord, entry_already_reset: bool = False) -> None:
-        if record.classification == BIG and not entry_already_reset:
+    def _release(self, record: AllocationRecord) -> None:
+        if record.classification == BIG:
             division, slot = self.table.entry_index(record.obj_base, record.frame.n)
             self.table.reset_entry(division, slot)
         record.live = False
@@ -281,7 +260,9 @@ class Arena:
         # the header bytes stay in place, as they would in a real heap
 
     def read_header(self, header_addr: int) -> Header | None:
-        return self._headers.get(header_addr)
+        """The header stored at header_addr, built from its record."""
+        record = self._by_header.get(header_addr)
+        return None if record is None else Header(record.raw_size, record.type_id)
 
     def record_at(self, header_addr: int) -> AllocationRecord | None:
         return self._by_header.get(header_addr)

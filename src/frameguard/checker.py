@@ -1,7 +1,8 @@
 """Runtime verification of tagged-pointer accesses.
 
-Every check resolves the header from the pointer's tag, reads the raw
-object size, and classifies the outcome as a verdict.  Checks never
+Every check resolves the header from the pointer's tag through
+DivisionTable.header_lookup, reads the raw object size from the
+allocation record, and classifies the outcome as a verdict.  Checks never
 raise for bad accesses; a replay run keeps going and collects every
 violation.  The bounds rule for an access of s bytes at untagged
 address p with object base b and raw size z:
@@ -22,11 +23,11 @@ what it reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass
 
 from .arena import Arena
-from .frame_math import SLOT_BITS, in_frame, slot_base
-from .metadata import HEADER_SIZE, ArenaRangeError
+from .frame_math import SLOT_BITS, in_frame
+from .metadata import ArenaRangeError
 from .tagging import MAX_BIG_TAG, MIN_BIG_TAG, TagError, decode, is_untagged, untag
 from .verdicts import Verdict, VerdictKind
 
@@ -52,12 +53,7 @@ class CheckCounters:
     lookups_big: int = 0
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "access_checks": self.access_checks,
-            "arith_checks": self.arith_checks,
-            "lookups_small": self.lookups_small,
-            "lookups_big": self.lookups_big,
-        }
+        return asdict(self)
 
 
 class Checker:
@@ -67,26 +63,43 @@ class Checker:
         self.arena = arena
         self.counters = CheckCounters()
 
-    # -- resolution ---------------------------------------------------
+    def _check(self, tagged: int, size: int, operand: str | None = None) -> Verdict:
+        """Bounds verdict for size bytes at a tagged pointer.
 
-    def _resolve_header(self, tagged: int) -> tuple[int, Verdict | None, int]:
-        """(header_addr, failing verdict, untagged address) for a tagged value."""
-        flag, tag, addr = decode(tagged)
-        if flag:
-            self.counters.lookups_small += 1
-            return slot_base(addr) + tag, None, addr
-        if not MIN_BIG_TAG <= tag <= MAX_BIG_TAG:
-            raise TagError(f"value {tagged:#x} carries no resolvable tag")
-        self.counters.lookups_big += 1
+        The header comes from the table's resolver, the size from the
+        allocation record keyed by it; operand labels violations of a
+        two-pointer check.
+        """
+        counters = self.counters
+        counters.access_checks += 1
+        if is_untagged(tagged):
+            return Verdict(VerdictKind.UNTRACKED, address=tagged, access_size=size)
+        addr = untag(tagged)
+        if tagged >> 63:
+            counters.lookups_small += 1
+        else:
+            counters.lookups_big += 1
+        arena = self.arena
         try:
-            division, slot = self.arena.table.entry_index(addr, tag)
+            record = arena.record_at(arena.table.header_lookup(tagged))
         except ArenaRangeError:
-            return 0, Verdict(VerdictKind.OUT_OF_FRAME, address=addr), addr
-        content = self.arena.table.get_entry(division, slot)
-        if content == 0:
-            # vacated (or never-filled) entry: released or phantom object
-            return 0, Verdict(VerdictKind.USE_AFTER_FREE, address=addr), addr
-        return content, None, addr
+            return Verdict(VerdictKind.OUT_OF_FRAME, address=addr, access_size=size,
+                           operand=operand)
+        if record is None:
+            # a vacated entry (released big-framed object), or tag
+            # arithmetic that landed on bytes that never held a header
+            return Verdict(VerdictKind.USE_AFTER_FREE, address=addr, access_size=size,
+                           operand=operand)
+        obj_base = record.obj_base
+        if addr < obj_base:
+            kind = VerdictKind.UNDERFLOW
+        elif addr + size > obj_base + record.raw_size:
+            kind = VerdictKind.OVERFLOW
+        else:
+            return Verdict(VerdictKind.OK, address=addr, alloc_id=record.id,
+                           access_size=size)
+        return Verdict(kind, address=addr, alloc_id=record.id, access_size=size,
+                       operand=operand)
 
     # -- checks -------------------------------------------------------
 
@@ -96,30 +109,8 @@ class Checker:
         Untracked plain addresses pass through unchecked.  The untagged
         address comes back either way so the caller can dereference it.
         """
-        self.counters.access_checks += 1
-        raw = req.tagged
-        if is_untagged(raw):
-            return Verdict(VerdictKind.UNTRACKED, address=raw,
-                           access_size=req.access_size), raw
-        header_addr, fail, addr = self._resolve_header(raw)
-        if fail is not None:
-            return replace(fail, access_size=req.access_size), addr
-        header = self.arena.read_header(header_addr)
-        if header is None:
-            # the tag arithmetic landed on bytes that never held metadata
-            return Verdict(VerdictKind.USE_AFTER_FREE, address=addr,
-                           access_size=req.access_size), addr
-        record = self.arena.record_at(header_addr)
-        alloc_id = record.id if record is not None else None
-        obj_base = header_addr + HEADER_SIZE
-        if addr < obj_base:
-            return Verdict(VerdictKind.UNDERFLOW, address=addr, alloc_id=alloc_id,
-                           access_size=req.access_size), addr
-        if addr + req.access_size - 1 > obj_base + header.size - 1:
-            return Verdict(VerdictKind.OVERFLOW, address=addr, alloc_id=alloc_id,
-                           access_size=req.access_size), addr
-        return Verdict(VerdictKind.OK, address=addr, alloc_id=alloc_id,
-                       access_size=req.access_size), addr
+        verdict = self._check(req.tagged, req.access_size)
+        return verdict, verdict.address
 
     def check_arith(self, old: int, new: int) -> Verdict:
         """Frame-escape test for a pointer arithmetic step.
@@ -150,15 +141,19 @@ class Checker:
             raise ValueError("byte count must be non-negative")
         if n == 0:
             return Verdict(VerdictKind.OK, access_size=0)
-        dst_v, _ = self.check_access(AccessRequest(dst, n, is_store=True))
+        dst_v = self._check(dst, n, "dst")
         if dst_v.is_violation:
-            return replace(dst_v, operand="dst")
-        src_v, _ = self.check_access(AccessRequest(src, n))
+            return dst_v
+        src_v = self._check(src, n, "src")
         if src_v.is_violation:
-            return replace(src_v, operand="src")
+            return src_v
         if dst_v.kind is VerdictKind.UNTRACKED and src_v.kind is VerdictKind.UNTRACKED:
             return Verdict(VerdictKind.UNTRACKED, access_size=n)
         return Verdict(VerdictKind.OK, access_size=n)
+
+    # bounded string copy: both arrays must hold at least n bytes, which
+    # is exactly the memcpy rule
+    check_strncpy = check_memcpy
 
     def check_memset(self, dst: int, n: int) -> Verdict:
         """Single-operand variant of the copy check (n-byte fill)."""
@@ -166,39 +161,19 @@ class Checker:
             raise ValueError("byte count must be non-negative")
         if n == 0:
             return Verdict(VerdictKind.OK, access_size=0)
-        v, _ = self.check_access(AccessRequest(dst, n, is_store=True))
-        return replace(v, operand="dst") if v.is_violation else v
+        return self._check(dst, n, "dst")
 
     def check_strcpy(self, dst: int, src: int, src_strlen: int) -> Verdict:
         """String copy up to the terminator.
 
         Safe iff the destination can hold src_strlen bytes plus the
         terminator from the destination address onward.  The source is
-        only untagged, never bounds-checked: copying stops at its
-        terminator regardless of the source array's size.
+        never bounds-checked: copying stops at its terminator
+        regardless of the source array's size.
         """
         if src_strlen < 0:
             raise ValueError("string length must be non-negative")
-        untag(src)
-        v, _ = self.check_access(AccessRequest(dst, src_strlen + 1, is_store=True))
-        return replace(v, operand="dst") if v.is_violation else v
-
-    def check_strncpy(self, dst: int, src: int, n: int) -> Verdict:
-        """Bounded string copy: both arrays must hold at least n bytes,
-        so metadata for both operands is retrieved."""
-        if n < 0:
-            raise ValueError("byte count must be non-negative")
-        if n == 0:
-            return Verdict(VerdictKind.OK, access_size=0)
-        dst_v, _ = self.check_access(AccessRequest(dst, n, is_store=True))
-        if dst_v.is_violation:
-            return replace(dst_v, operand="dst")
-        src_v, _ = self.check_access(AccessRequest(src, n))
-        if src_v.is_violation:
-            return replace(src_v, operand="src")
-        if dst_v.kind is VerdictKind.UNTRACKED and src_v.kind is VerdictKind.UNTRACKED:
-            return Verdict(VerdictKind.UNTRACKED, access_size=n)
-        return Verdict(VerdictKind.OK, access_size=n)
+        return self._check(dst, src_strlen + 1, "dst")
 
     def check_free(self, tagged: int) -> Verdict:
         """Deallocation check and release, delegated to the arena."""

@@ -16,9 +16,10 @@ import json
 import os
 import sys
 
-from .arena import DEFAULT_ARENA_BASE, DEFAULT_ARENA_SIZE
+from .arena import DEFAULT_ARENA_BASE, DEFAULT_ARENA_SIZE, ArenaExhausted
 from .harness import (
     EngineConfig,
+    TraceRuntimeError,
     TraceSyntaxError,
     WorkloadParams,
     emit_report,
@@ -151,7 +152,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (TraceSyntaxError, ValueError, OSError) as exc:
+    except (TraceSyntaxError, TraceRuntimeError, ArenaExhausted, ValueError, OSError) as exc:
         print(f"frameguard: {exc}", file=sys.stderr)
         return 2
 

@@ -238,11 +238,12 @@ def run_trace(events: Sequence[TraceEvent], config: EngineConfig | None = None) 
         except KeyError:
             raise TraceRuntimeError(f"id {name!r} used before allocation") from None
 
-    def _rebased(record, offset: int) -> int:
+    def _rebased(name: str, offset: int) -> int:
+        record = _record(name)
         addr = record.obj_base + offset
         if addr < 0 or addr > ADDRESS_MASK:
             raise TraceRuntimeError(
-                f"offset {offset} moves {record.id} outside the 48-bit space"
+                f"offset {offset} moves {name!r} outside the 48-bit space"
             )
         return rebase(record.tagged, addr)
 
@@ -250,9 +251,8 @@ def run_trace(events: Sequence[TraceEvent], config: EngineConfig | None = None) 
         verdict: Verdict | None = None
         op = ev.op
         if op in ("load", "store"):
-            record = _record(ev.id)
             offset, access_size = ev.args
-            tagged = _rebased(record, offset)
+            tagged = _rebased(ev.id, offset)
             verdict, _ = checker.check_access(
                 AccessRequest(tagged, access_size, is_store=(op == "store"))
             )
@@ -278,8 +278,7 @@ def run_trace(events: Sequence[TraceEvent], config: EngineConfig | None = None) 
                 if sid is not None and sid < len(scopes):
                     scopes[sid].append(new_record)
         elif op == "ptr_add":
-            record = _record(ev.id)
-            new_tagged = _rebased(record, ev.args[0])
+            new_tagged = _rebased(ev.id, ev.args[0])
             if config.arith_checks:
                 verdict = checker.check_arith(cursors[ev.id], new_tagged)
             cursors[ev.id] = new_tagged
@@ -491,19 +490,9 @@ def emit_report(report: RunReport, fmt: str = "text") -> str:
     """Render a run report as human-readable text or stable JSON."""
     if fmt == "json":
         payload = {
-            "verdicts": {kind.value: report.verdicts[kind.value] for kind in VerdictKind},
-            "overhead": {
-                "header_bytes": report.overhead["header_bytes"],
-                "table_bytes": report.overhead["table_bytes"],
-                "payload_bytes": report.overhead["payload_bytes"],
-                "ratio": report.overhead["ratio"],
-            },
-            "checks": {
-                "access_checks": report.checks["access_checks"],
-                "arith_checks": report.checks["arith_checks"],
-                "lookups_small": report.checks["lookups_small"],
-                "lookups_big": report.checks["lookups_big"],
-            },
+            "verdicts": report.verdicts,
+            "overhead": report.overhead,
+            "checks": report.checks,
         }
         return json.dumps(payload, indent=2) + "\n"
     if fmt != "text":

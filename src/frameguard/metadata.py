@@ -12,6 +12,11 @@ The table divides the arena into 2**16-byte divisions and keeps one
 single live object wrapped by that frame, or zero when vacant.  Zero
 doubles as the release marker, which is what makes double frees and
 use-after-free of big-framed objects observable.
+
+DivisionTable.header_lookup is the only code that turns a tagged
+pointer into a header address.  The arena's free and realloc and the
+checker's access checks all resolve through it, so the slot arithmetic
+and the entry read are written once.
 """
 
 from __future__ import annotations
@@ -43,6 +48,14 @@ class EntryConflictError(RuntimeError):
     """
 
 
+def check_header_fields(size: int, type_id: int) -> None:
+    """Reject a size or type id that does not fit its 32-bit header field."""
+    if not 0 <= size <= _U32_MAX:
+        raise ValueError(f"header size {size} not a 32-bit value")
+    if not 0 <= type_id <= _U32_MAX:
+        raise ValueError(f"type id {type_id} not a 32-bit value")
+
+
 @dataclass(frozen=True)
 class Header:
     """16-byte metadata record stored immediately below the object."""
@@ -51,10 +64,7 @@ class Header:
     type_id: int = 0
 
     def __post_init__(self) -> None:
-        if not 0 <= self.size <= _U32_MAX:
-            raise ValueError(f"header size {self.size} not a 32-bit value")
-        if not 0 <= self.type_id <= _U32_MAX:
-            raise ValueError(f"type id {self.type_id} not a 32-bit value")
+        check_header_fields(self.size, self.type_id)
 
 
 class DivisionTable:
@@ -120,7 +130,9 @@ class DivisionTable:
         flag 1: slot base plus the tagged offset, pure arithmetic.
         flag 0 with tag in [16, 48]: the division-array entry content;
         zero means the frame's object was released (or never existed).
-        Untagged or malformed values are the caller's job to filter.
+        A frame base outside the arena raises ArenaRangeError: the
+        pointer left its wrapper frame.  Untagged values are the
+        caller's job to filter; malformed tags raise TagError.
         """
         flag, tag, addr = decode(tagged)
         if flag:

@@ -242,3 +242,22 @@ def test_rejects_bad_sizes():
         a.alloc_array(0, 8)
     with pytest.raises(ValueError):
         a.alloc_array(4, 0)
+
+
+@pytest.mark.parametrize("size, call", [
+    (1 << 24, lambda a: a.alloc(8, type_id=1 << 32)),
+    (1 << 24, lambda a: a.alloc(8, type_id=-1)),
+    (1 << 24, lambda a: a.alloc_array(4, 8, type_id=1 << 32)),
+    # arenas large enough that placement alone would succeed
+    (1 << 33, lambda a: a.alloc(1 << 32)),
+    (1 << 33, lambda a: a.alloc_array(1 << 31, 2)),
+], ids=["type_id_too_big", "type_id_negative", "array_type_id_too_big",
+        "size_too_big", "array_size_too_big"])
+def test_rejected_alloc_leaves_arena_unchanged(size, call):
+    a = Arena(base=BASE, size=size)
+    a.alloc(40)
+    before = a.stats()
+    with pytest.raises(ValueError):
+        call(a)
+    assert a.stats() == before
+    assert a.alloc(40).id == 2

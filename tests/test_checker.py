@@ -4,6 +4,7 @@ import pytest
 
 from frameguard.arena import Arena, DEFAULT_ARENA_BASE
 from frameguard.checker import AccessRequest, Checker
+from frameguard.metadata import ArenaRangeError
 from frameguard.tagging import encode_big, rebase, untag
 from frameguard.verdicts import VerdictKind
 
@@ -252,3 +253,42 @@ def test_negative_byte_counts_rejected():
         ck.check_strcpy(r.tagged, r.tagged, -1)
     with pytest.raises(ValueError):
         AccessRequest(r.tagged, 0)
+
+
+def _resolver_case(case):
+    """Fresh engine plus the pointer a case hands to every resolver user."""
+    arena, ck = setup()
+    r = arena.alloc(40 if case.startswith("small") else 1 << 17)
+    tagged = r.tagged
+    if case.endswith("freed"):
+        arena.free(tagged)
+    elif case == "big_out_of_arena":
+        tagged = rebase(tagged, arena.base + arena.size + (1 << 20))
+    return arena, ck, r, tagged
+
+
+@pytest.mark.parametrize("case, access, free, realloc, lookup", [
+    ("small_live", VerdictKind.OK, VerdictKind.OK, VerdictKind.OK, "header"),
+    # small-framed use-after-free is a documented blind spot
+    ("small_freed", VerdictKind.OK, VerdictKind.DOUBLE_FREE, VerdictKind.DOUBLE_FREE, "header"),
+    ("big_live", VerdictKind.OK, VerdictKind.OK, VerdictKind.OK, "header"),
+    ("big_freed", VerdictKind.USE_AFTER_FREE, VerdictKind.DOUBLE_FREE,
+     VerdictKind.DOUBLE_FREE, 0),
+    ("big_out_of_arena", VerdictKind.OUT_OF_FRAME, VerdictKind.OUT_OF_FRAME,
+     VerdictKind.OUT_OF_FRAME, ArenaRangeError),
+])
+def test_resolver_users_agree(case, access, free, realloc, lookup):
+    arena, ck, r, tagged = _resolver_case(case)
+    if lookup is ArenaRangeError:
+        with pytest.raises(ArenaRangeError):
+            arena.table.header_lookup(tagged)
+    else:
+        expected = r.header_addr if lookup == "header" else lookup
+        assert arena.table.header_lookup(tagged) == expected
+    assert ck.check_access(AccessRequest(tagged, 1))[0].kind is access
+    assert ck.check_free(tagged).kind is free
+
+    arena, ck, r, tagged = _resolver_case(case)
+    verdict, new = arena.realloc(tagged, 64)
+    assert verdict.kind is realloc
+    assert (new is not None) == (realloc is VerdictKind.OK)

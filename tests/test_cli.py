@@ -90,3 +90,19 @@ def test_bad_trace_exits_2_with_line(tmp_path, capsys):
 
     assert main(["run", str(tmp_path / "missing.txt")]) == 2
     assert "missing.txt" in capsys.readouterr().err
+
+
+def test_arena_exhaustion_exits_2(tmp_path, capsys):
+    trace = tmp_path / "t.txt"
+    trace.write_text("alloc a 200000\nalloc b 200000\n")
+    assert main(["run", str(trace), "--arena-size", "0x40000"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("frameguard: arena exhausted") and err.count("\n") == 1
+
+
+def test_offset_outside_address_space_exits_2(tmp_path, capsys):
+    trace = tmp_path / "t.txt"
+    trace.write_text("alloc a 10\nload a 0x1000000000000 1\n")
+    assert main(["run", str(trace)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("frameguard: ") and "'a'" in err and err.count("\n") == 1
