@@ -12,10 +12,11 @@ to exercise arbitrary object arrangements.  Addresses are never reused,
 so headers of released objects linger as stale bytes would in a real
 heap; that matches what the checks can and cannot see afterwards.
 
-Each allocation has one AllocationRecord, keyed by its header address;
-the record holds what the header bytes hold (raw size and type id).
-Deallocation resolves the pointer through DivisionTable.header_lookup,
-the single tag-to-header resolver, and then looks up the record.
+Each allocation has one AllocationRecord, keyed by its header address
+in the only record store; the record holds what the header bytes hold
+(raw size and type id).  Arena.lookup is the one place a pointer's
+outcome is decided (untracked, out of frame, or the record at its
+header); the checker and the deallocation paths both build on it.
 
 Violations on the deallocation paths come back as verdicts rather than
 exceptions, so a replay run can continue after errors.  Exceptions are
@@ -104,16 +105,17 @@ class Arena:
         self._jitter = placement_jitter
         self._rng = rng
         self._cursor = base
+        # header addresses are never reused, so insertion order is
+        # allocation order and ids number the records from 1
         self._by_header: dict[int, AllocationRecord] = {}
-        self._records: list[AllocationRecord] = []
-        self._next_id = 1
         self._live_count = 0
         self._live_payload = 0
-        self._total_payload = 0
 
     # -- placement ----------------------------------------------------
 
     def _place(self, total_bytes: int) -> int:
+        """Header address for total_bytes at the cursor; _register moves
+        the cursor once the allocation is accepted."""
         cursor = self._cursor
         if self._jitter and self._rng is not None:
             cursor += 16 * self._rng.randrange(self._jitter + 1)
@@ -124,11 +126,11 @@ class Arena:
                 f"arena exhausted: need {total_bytes} bytes at {header:#x}, arena ends at "
                 f"{self.base + self.size:#x}"
             )
-        self._cursor = end
         return header
 
-    def _register(self, header_addr: int, obj_base: int, raw_size: int,
-                  total_bytes: int, type_id: int, scope_id: int | None) -> AllocationRecord:
+    def _register(self, header_addr: int, raw_size: int, total_bytes: int,
+                  type_id: int, scope_id: int | None) -> AllocationRecord:
+        obj_base = header_addr + HEADER_SIZE
         frame = wrapper_frame(header_addr, header_addr + total_bytes - 1 + self.pad_bytes)
         if frame.n <= SLOT_BITS:
             classification = SMALL
@@ -138,8 +140,9 @@ class Arena:
             division, slot = self.table.entry_index(obj_base, frame.n)
             self.table.set_entry(division, slot, header_addr)
             tagged = encode_big(frame.n, obj_base)
+        self._cursor = header_addr + total_bytes
         record = AllocationRecord(
-            id=self._next_id,
+            id=len(self._by_header) + 1,
             header_addr=header_addr,
             obj_base=obj_base,
             raw_size=raw_size,
@@ -149,12 +152,9 @@ class Arena:
             type_id=type_id,
             scope_id=scope_id,
         )
-        self._next_id += 1
         self._by_header[header_addr] = record
-        self._records.append(record)
         self._live_count += 1
         self._live_payload += raw_size
-        self._total_payload += raw_size
         return record
 
     # -- lifecycle ----------------------------------------------------
@@ -169,8 +169,7 @@ class Arena:
             raise ValueError("allocation size must be at least 1")
         check_header_fields(size, type_id)
         header_addr = self._place(HEADER_SIZE + size)
-        return self._register(header_addr, header_addr + HEADER_SIZE, size,
-                              HEADER_SIZE + size, type_id, scope_id)
+        return self._register(header_addr, size, HEADER_SIZE + size, type_id, scope_id)
 
     def alloc_array(self, count: int, elem_size: int, type_id: int = 0,
                     scope_id: int | None = None) -> AllocationRecord:
@@ -188,8 +187,7 @@ class Arena:
         raw_size = count * elem_size
         check_header_fields(raw_size, type_id)
         header_addr = self._place(total)
-        return self._register(header_addr, header_addr + HEADER_SIZE, raw_size,
-                              total, type_id, scope_id)
+        return self._register(header_addr, raw_size, total, type_id, scope_id)
 
     def realloc(self, tagged: int, new_size: int) -> tuple[Verdict, AllocationRecord | None]:
         """Move an allocation to a fresh region of new_size bytes.
@@ -197,8 +195,8 @@ class Arena:
         The wrapper frame is recomputed from scratch at the new
         placement and the old big-frame entry (if any) is vacated.  The
         input is judged as free judges it: a stale pointer yields a
-        double-free verdict, one whose frame left the arena an
-        out-of-frame verdict, and neither reallocates.
+        double-free verdict, one that left its frame an out-of-frame
+        verdict, and neither reallocates.
         """
         if new_size < 1:
             raise ValueError("allocation size must be at least 1")
@@ -231,22 +229,37 @@ class Arena:
             if record.live:
                 self._release(record)
 
-    # -- resolution helpers -------------------------------------------
+    # -- resolution ---------------------------------------------------
+
+    def lookup(self, tagged: int) -> tuple[VerdictKind | None, AllocationRecord | None]:
+        """Classify a pointer by the header its tag resolves to.
+
+        (UNTRACKED, None) for a plain address; (OUT_OF_FRAME, None) when
+        the pointer left its wrapper frame; otherwise (None, the record
+        at the resolved header), where None is a vacated big-frame entry.
+        Callers judge bounds and liveness from the record.
+        """
+        if is_untagged(tagged):
+            return VerdictKind.UNTRACKED, None
+        try:
+            record = self._by_header.get(self.table.header_lookup(tagged))
+        except ArenaRangeError:
+            # the frame base left the arena entirely
+            return VerdictKind.OUT_OF_FRAME, None
+        if record is None and tagged >> 63:
+            # anywhere in its own slot a small-framed pointer finds its
+            # header, live or dead; no header means it left the slot
+            return VerdictKind.OUT_OF_FRAME, None
+        return None, record
 
     def _resolve_live(self, tagged: int) -> tuple[Verdict | None, AllocationRecord | None]:
         """(failing verdict, None) or (None, live record) for a pointer
         handed to a deallocation path."""
-        if is_untagged(tagged):
-            return Verdict(VerdictKind.UNTRACKED, address=tagged), None
-        addr = untag(tagged)
-        try:
-            record = self._by_header.get(self.table.header_lookup(tagged))
-        except ArenaRangeError:
-            # the frame base left the arena entirely; the pointer cannot
-            # have stayed inside its wrapper frame
-            return Verdict(VerdictKind.OUT_OF_FRAME, address=addr), None
-        if record is None or not record.live:
-            return Verdict(VerdictKind.DOUBLE_FREE, address=addr,
+        kind, record = self.lookup(tagged)
+        if kind is None and (record is None or not record.live):
+            kind = VerdictKind.DOUBLE_FREE
+        if kind is not None:
+            return Verdict(kind, address=untag(tagged),
                            alloc_id=record.id if record else None), None
         return None, record
 
@@ -264,20 +277,10 @@ class Arena:
         record = self._by_header.get(header_addr)
         return None if record is None else Header(record.raw_size, record.type_id)
 
-    def record_at(self, header_addr: int) -> AllocationRecord | None:
-        return self._by_header.get(header_addr)
-
     @property
     def records(self) -> list[AllocationRecord]:
-        return self._records
-
-    @property
-    def total_allocations(self) -> int:
-        return self._next_id - 1
-
-    @property
-    def total_payload_bytes(self) -> int:
-        return self._total_payload
+        """Every allocation record, live or dead, in allocation order."""
+        return list(self._by_header.values())
 
     def stats(self) -> ArenaStats:
         return ArenaStats(
@@ -287,7 +290,7 @@ class Arena:
             table_reserved_bytes=self.table.reserved_bytes,
             table_touched_bytes=self.table.touched_bytes,
             overhead_bytes=HEADER_SIZE * self._live_count + self.table.reserved_bytes,
-            total_allocations=self.total_allocations,
-            total_payload_bytes=self._total_payload,
+            total_allocations=len(self._by_header),
+            total_payload_bytes=sum(r.raw_size for r in self._by_header.values()),
             cursor_used_bytes=self._cursor - self.base,
         )

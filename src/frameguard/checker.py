@@ -1,11 +1,11 @@
 """Runtime verification of tagged-pointer accesses.
 
-Every check resolves the header from the pointer's tag through
-DivisionTable.header_lookup, reads the raw object size from the
-allocation record, and classifies the outcome as a verdict.  Checks never
-raise for bad accesses; a replay run keeps going and collects every
-violation.  The bounds rule for an access of s bytes at untagged
-address p with object base b and raw size z:
+Every check classifies the pointer through Arena.lookup, the one place
+a pointer's outcome is decided, reads the raw object size from the
+allocation record it returns, and reports the outcome as a verdict.
+Checks never raise for bad accesses; a replay run keeps going and
+collects every violation.  The bounds rule for an access of s bytes at
+untagged address p with object base b and raw size z:
 
     p <  b            -> underflow (protects the header as well)
     p + s - 1 > b+z-1 -> overflow
@@ -27,7 +27,6 @@ from dataclasses import asdict, dataclass
 
 from .arena import Arena
 from .frame_math import SLOT_BITS, in_frame
-from .metadata import ArenaRangeError
 from .tagging import MAX_BIG_TAG, MIN_BIG_TAG, TagError, decode, is_untagged, untag
 from .verdicts import Verdict, VerdictKind
 
@@ -66,30 +65,24 @@ class Checker:
     def _check(self, tagged: int, size: int, operand: str | None = None) -> Verdict:
         """Bounds verdict for size bytes at a tagged pointer.
 
-        The header comes from the table's resolver, the size from the
-        allocation record keyed by it; operand labels violations of a
-        two-pointer check.
+        Arena.lookup classifies the pointer and supplies the record;
+        operand labels violations of a two-pointer check.
         """
         counters = self.counters
         counters.access_checks += 1
-        if is_untagged(tagged):
-            return Verdict(VerdictKind.UNTRACKED, address=tagged, access_size=size)
-        addr = untag(tagged)
+        kind, record = self.arena.lookup(tagged)
+        # record first: enum attribute reads are slow and this is the hot path
+        if record is None and kind is VerdictKind.UNTRACKED:
+            return Verdict(kind, address=tagged, access_size=size)
         if tagged >> 63:
             counters.lookups_small += 1
         else:
             counters.lookups_big += 1
-        arena = self.arena
-        try:
-            record = arena.record_at(arena.table.header_lookup(tagged))
-        except ArenaRangeError:
-            return Verdict(VerdictKind.OUT_OF_FRAME, address=addr, access_size=size,
-                           operand=operand)
+        addr = untag(tagged)
         if record is None:
-            # a vacated entry (released big-framed object), or tag
-            # arithmetic that landed on bytes that never held a header
-            return Verdict(VerdictKind.USE_AFTER_FREE, address=addr, access_size=size,
-                           operand=operand)
+            # out of frame, or a vacated entry (released big-framed object)
+            return Verdict(kind or VerdictKind.USE_AFTER_FREE, address=addr,
+                           access_size=size, operand=operand)
         obj_base = record.obj_base
         if addr < obj_base:
             kind = VerdictKind.UNDERFLOW

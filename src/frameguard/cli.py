@@ -28,6 +28,7 @@ from .harness import (
     parse_trace,
     run_trace,
 )
+from .metadata import EntryConflictError
 
 _ENV_PREFIX = "FRAMEGUARD_"
 
@@ -152,7 +153,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (TraceSyntaxError, TraceRuntimeError, ArenaExhausted, ValueError, OSError) as exc:
+    except (TraceSyntaxError, TraceRuntimeError, ArenaExhausted, EntryConflictError,
+            ValueError, OSError) as exc:
         print(f"frameguard: {exc}", file=sys.stderr)
         return 2
 

@@ -33,12 +33,13 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterable, Sequence
 
 from .arena import DEFAULT_ARENA_BASE, DEFAULT_ARENA_SIZE, Arena
 from .checker import AccessRequest, Checker
 from .frame_math import ADDRESS_MASK
+from .metadata import HEADER_SIZE
 from .tagging import rebase
 from .verdicts import Verdict, VerdictKind
 
@@ -275,7 +276,7 @@ def run_trace(events: Sequence[TraceEvent], config: EngineConfig | None = None) 
                 bindings[ev.id] = new_record
                 cursors[ev.id] = new_record.tagged
                 sid = new_record.scope_id
-                if sid is not None and sid < len(scopes):
+                if sid is not None:
                     scopes[sid].append(new_record)
         elif op == "ptr_add":
             new_tagged = _rebased(ev.id, ev.args[0])
@@ -305,13 +306,11 @@ def run_trace(events: Sequence[TraceEvent], config: EngineConfig | None = None) 
         if v is not None:
             counts[v.kind.value] += 1
 
-    header_bytes = 16 * arena.total_allocations
-    payload_bytes = arena.total_payload_bytes
-    table_bytes = arena.table.touched_bytes
-    ratio = (header_bytes + table_bytes + payload_bytes) / payload_bytes if payload_bytes else 1.0
     stats = arena.stats()
-    violation_count = sum(counts[k.value] for k in VerdictKind
-                          if k not in (VerdictKind.OK, VerdictKind.UNTRACKED))
+    header_bytes = HEADER_SIZE * stats.total_allocations
+    payload_bytes = stats.total_payload_bytes
+    table_bytes = stats.table_touched_bytes
+    ratio = (header_bytes + table_bytes + payload_bytes) / payload_bytes if payload_bytes else 1.0
     return RunReport(
         event_count=len(events),
         verdicts=counts,
@@ -323,15 +322,9 @@ def run_trace(events: Sequence[TraceEvent], config: EngineConfig | None = None) 
             "ratio": ratio,
         },
         event_log=log,
-        exit_status=1 if (violation_count and config.fail_on_violation) else 0,
-        live_stats={
-            "live_allocations": stats.live_allocations,
-            "live_header_bytes": stats.live_header_bytes,
-            "live_payload_bytes": stats.live_payload_bytes,
-            "table_reserved_bytes": stats.table_reserved_bytes,
-            "overhead_bytes": stats.overhead_bytes,
-            "cursor_used_bytes": stats.cursor_used_bytes,
-        },
+        exit_status=1 if config.fail_on_violation and any(
+            v is not None and v.is_violation for v in log) else 0,
+        live_stats=asdict(stats),
     )
 
 

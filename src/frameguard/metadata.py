@@ -14,9 +14,11 @@ doubles as the release marker, which is what makes double frees and
 use-after-free of big-framed objects observable.
 
 DivisionTable.header_lookup is the only code that turns a tagged
-pointer into a header address.  The arena's free and realloc and the
-checker's access checks all resolve through it, so the slot arithmetic
-and the entry read are written once.
+pointer into a header address, and Arena.lookup is its only caller: it
+decides what the resolved header means for the pointer (untracked, out
+of frame, or the record there).  The checker's access checks and the
+arena's free and realloc all go through Arena.lookup, so the slot
+arithmetic, the entry read and their interpretation are written once.
 """
 
 from __future__ import annotations

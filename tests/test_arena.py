@@ -202,8 +202,10 @@ def test_wide_padding_can_conflict():
     # up wrapped by the same frame; detection must stay on and refuse.
     a = Arena(base=BASE, size=1 << 24, pad_bytes=17)
     a.alloc((1 << 16) - 32)
+    before = a.stats()
     with pytest.raises(EntryConflictError):
         a.alloc(100)
+    assert a.stats() == before
     # the same stream is conflict-free with unit padding
     b = Arena(base=BASE, size=1 << 24, pad_bytes=1)
     b.alloc((1 << 16) - 32)

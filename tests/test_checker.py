@@ -264,6 +264,8 @@ def _resolver_case(case):
         arena.free(tagged)
     elif case == "big_out_of_arena":
         tagged = rebase(tagged, arena.base + arena.size + (1 << 20))
+    elif case == "small_out_of_slot":
+        tagged = rebase(tagged, r.obj_base + 100_000)
     return arena, ck, r, tagged
 
 
@@ -276,12 +278,17 @@ def _resolver_case(case):
      VerdictKind.DOUBLE_FREE, 0),
     ("big_out_of_arena", VerdictKind.OUT_OF_FRAME, VerdictKind.OUT_OF_FRAME,
      VerdictKind.OUT_OF_FRAME, ArenaRangeError),
+    # the slot arithmetic lands where no header was ever written
+    ("small_out_of_slot", VerdictKind.OUT_OF_FRAME, VerdictKind.OUT_OF_FRAME,
+     VerdictKind.OUT_OF_FRAME, "no_header"),
 ])
 def test_resolver_users_agree(case, access, free, realloc, lookup):
     arena, ck, r, tagged = _resolver_case(case)
     if lookup is ArenaRangeError:
         with pytest.raises(ArenaRangeError):
             arena.table.header_lookup(tagged)
+    elif lookup == "no_header":
+        assert arena.read_header(arena.table.header_lookup(tagged)) is None
     else:
         expected = r.header_addr if lookup == "header" else lookup
         assert arena.table.header_lookup(tagged) == expected

@@ -100,6 +100,15 @@ def test_arena_exhaustion_exits_2(tmp_path, capsys):
     assert err.startswith("frameguard: arena exhausted") and err.count("\n") == 1
 
 
+def test_entry_conflict_exits_2(tmp_path, capsys):
+    # padding wider than a header lets two objects share one entry
+    trace = tmp_path / "t.txt"
+    trace.write_text("alloc a 65504\nalloc b 100\n")
+    assert main(["run", str(trace), "--pad", "17"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("frameguard: entry") and err.count("\n") == 1
+
+
 def test_offset_outside_address_space_exits_2(tmp_path, capsys):
     trace = tmp_path / "t.txt"
     trace.write_text("alloc a 10\nload a 0x1000000000000 1\n")

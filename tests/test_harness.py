@@ -105,6 +105,14 @@ def test_run_use_after_free_trace():
     assert report.verdicts["use_after_free"] == 1
 
 
+def test_far_small_access_is_out_of_frame():
+    # the slot the access lands in holds no header, so the pointer left
+    # its frame: an escape, whether or not arithmetic is checked
+    for config in (EngineConfig(), EngineConfig(arith_checks=True)):
+        report = run_trace(parse_trace("alloc a 10\nstore a 100000 1\n"), config)
+        assert report.violations == [(1, "out_of_frame")]
+
+
 def test_realloc_trace_rebinds():
     text = "alloc a 40\nrealloc a 200000\nstore a 199999 1\nstore a 200000 1\n"
     report = run_trace(parse_trace(text))
