@@ -2,7 +2,8 @@
 arena and checker, and report verdicts and space overhead.
 
 Trace grammar, one event per line, whitespace separated, `#` starts a
-comment:
+comment.  `_GRAMMAR` below is its source of truth: each op's id count
+and each integer field's bounds are stated there and nowhere else.
 
     alloc <id> <size> [type_id]
     alloc_array <id> <count> <elem_size>
@@ -19,6 +20,7 @@ comment:
 
 Offsets are relative to the object base and may be negative or past the
 end; probing such addresses is the point.  Integers accept 0x prefixes.
+An alloc or realloc size and a type id must fit 32 bits.
 Ids must be introduced by alloc or alloc_array before any other use.
 Each load/store composes a pointer at base+offset from the object's
 canonical tagged pointer; ptr_add moves a per-id cursor pointer and the
@@ -34,12 +36,12 @@ import json
 import math
 import random
 from dataclasses import asdict, dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .arena import DEFAULT_ARENA_BASE, DEFAULT_ARENA_SIZE, Arena
 from .checker import AccessRequest, Checker
 from .frame_math import ADDRESS_MASK
-from .metadata import HEADER_SIZE
+from .metadata import HEADER_SIZE, _U32_MAX
 from .tagging import rebase
 from .verdicts import Verdict, VerdictKind
 
@@ -101,36 +103,43 @@ class RunReport:
 
     @property
     def violation_total(self) -> int:
-        return sum(1 for v in self.event_log if v is not None and v.is_violation)
+        return len(self.violations)
 
 
 # -- parsing -----------------------------------------------------------
 
-_ARITY = {
-    "alloc": (2, 3),
-    "alloc_array": (3, 3),
-    "realloc": (2, 2),
-    "free": (1, 1),
-    "load": (3, 3),
-    "store": (3, 3),
-    "ptr_add": (2, 2),
-    "memcpy": (3, 3),
-    "strcpy": (3, 3),
-    "strncpy": (3, 3),
-    "scope_begin": (0, 0),
-    "scope_end": (0, 0),
+class _Op(NamedTuple):
+    """One op's line: its id operands, then its integer fields."""
+
+    ids: int                                      # 0, 1 or 2
+    fields: tuple[tuple[str, float, float], ...]  # (name, lowest, highest)
+    optional: bool = False  # the last field may be left off; it reads as 0
+    defines: bool = False   # the first id is introduced here, not used
+    scope: int = 0          # +1 opens a scope, -1 closes the innermost one
+
+
+# The trace grammar: parse_trace checks and format_trace renders every
+# line from this table alone.
+_GRAMMAR = {
+    "alloc": _Op(1, (("size", 1, _U32_MAX), ("type_id", 0, _U32_MAX)),
+                 optional=True, defines=True),
+    "alloc_array": _Op(1, (("count", 1, math.inf), ("elem_size", 1, math.inf)),
+                       defines=True),
+    "realloc": _Op(1, (("new_size", 1, _U32_MAX),)),
+    "free": _Op(1, ()),
+    "load": _Op(1, (("offset", -math.inf, math.inf), ("access_size", 1, math.inf))),
+    "store": _Op(1, (("offset", -math.inf, math.inf), ("access_size", 1, math.inf))),
+    "ptr_add": _Op(1, (("new_offset", -math.inf, math.inf),)),
+    "memcpy": _Op(2, (("n", 0, math.inf),)),
+    "strcpy": _Op(2, (("srclen", 0, math.inf),)),
+    "strncpy": _Op(2, (("n", 0, math.inf),)),
+    "scope_begin": _Op(0, (), scope=1),
+    "scope_end": _Op(0, (), scope=-1),
 }
 
 
-def _int(tok: str, line_no: int, what: str) -> int:
-    try:
-        return int(tok, 0)
-    except ValueError:
-        raise TraceSyntaxError(line_no, f"{what} {tok!r} is not an integer") from None
-
-
 def parse_trace(source: str | Iterable[str]) -> list[TraceEvent]:
-    """Parse trace text into events, validating ids and scope balance."""
+    """Parse trace text into events; every check on a line comes from `_GRAMMAR`."""
     lines = source.splitlines() if isinstance(source, str) else source
     events: list[TraceEvent] = []
     defined: set[str] = set()
@@ -140,73 +149,60 @@ def parse_trace(source: str | Iterable[str]) -> list[TraceEvent]:
         if not line:
             continue
         toks = line.split()
-        op, args = toks[0], toks[1:]
-        if op not in _ARITY:
+        op = toks[0]
+        spec = _GRAMMAR.get(op)
+        if spec is None:
             raise TraceSyntaxError(line_no, f"unknown operation {op!r}")
-        lo, hi = _ARITY[op]
-        if not lo <= len(args) <= hi:
-            raise TraceSyntaxError(line_no, f"{op} takes {lo}..{hi} arguments, got {len(args)}")
-
-        if op in ("alloc", "alloc_array"):
-            name = args[0]
-            nums = [_int(a, line_no, "argument") for a in args[1:]]
-            if op == "alloc":
-                if nums[0] < 1:
-                    raise TraceSyntaxError(line_no, "allocation size must be at least 1")
-                if len(nums) == 1:
-                    nums.append(0)
-            else:
-                if nums[0] < 1 or nums[1] < 1:
-                    raise TraceSyntaxError(line_no, "count and element size must be at least 1")
-            defined.add(name)
-            events.append(TraceEvent(op, id=name, args=tuple(nums)))
-        elif op in ("realloc", "free", "load", "store", "ptr_add"):
-            name = args[0]
-            if name not in defined:
-                raise TraceSyntaxError(line_no, f"undefined id {name!r}")
-            nums = tuple(_int(a, line_no, "argument") for a in args[1:])
-            if op == "realloc" and nums[0] < 1:
-                raise TraceSyntaxError(line_no, "allocation size must be at least 1")
-            if op in ("load", "store") and nums[1] < 1:
-                raise TraceSyntaxError(line_no, "access size must be at least 1")
-            events.append(TraceEvent(op, id=name, args=nums))
-        elif op in ("memcpy", "strcpy", "strncpy"):
-            dst, src = args[0], args[1]
-            for name in (dst, src):
+        n_ids, fields, optional, defines, scope = spec
+        most = n_ids + len(fields)
+        missing = most + 1 - len(toks)
+        if not 0 <= missing <= optional:
+            raise TraceSyntaxError(
+                line_no, f"{op} takes {most - optional}..{most} arguments, got {len(toks) - 1}")
+        names = toks[1:n_ids + 1]
+        if defines:
+            defined.add(names[0])
+        else:
+            for name in names:
                 if name not in defined:
                     raise TraceSyntaxError(line_no, f"undefined id {name!r}")
-            n = _int(args[2], line_no, "byte count")
-            if n < 0:
-                raise TraceSyntaxError(line_no, "byte count must be non-negative")
-            events.append(TraceEvent(op, id=dst, id2=src, args=(n,)))
-        elif op == "scope_begin":
-            scope_depth += 1
-            events.append(TraceEvent(op))
-        else:  # scope_end
-            if scope_depth == 0:
-                raise TraceSyntaxError(line_no, "scope_end without matching scope_begin")
-            scope_depth -= 1
-            events.append(TraceEvent(op))
+        nums = []
+        for tok, (field, lo, hi) in zip(toks[n_ids + 1:], fields):
+            try:
+                n = int(tok, 0)
+            except ValueError:
+                raise TraceSyntaxError(line_no, f"{field} {tok!r} is not an integer") from None
+            if not lo <= n <= hi:
+                raise TraceSyntaxError(line_no, f"{field} {tok} outside [{lo}, {hi}]")
+            nums.append(n)
+        if missing:
+            nums.append(0)
+        scope_depth += scope
+        if scope_depth < 0:
+            raise TraceSyntaxError(line_no, "scope_end without matching scope_begin")
+        events.append(TraceEvent(op, *names, args=tuple(nums)))
     return events
+
+
+def _templates(op: str, spec: _Op) -> tuple[str, str | None, int]:
+    """%-templates over an event's ids and args, with and without the optional field."""
+    n = spec.ids + len(spec.fields)
+    full = " ".join([op] + ["%s"] * n)
+    return full, (full[:-3] if spec.optional else None), spec.ids
+
+
+_TEMPLATES = {op: _templates(op, spec) for op, spec in _GRAMMAR.items()}
 
 
 def format_trace(events: Sequence[TraceEvent]) -> str:
     """Serialize events back to trace text (inverse of parse_trace)."""
     lines = []
     for ev in events:
-        if ev.op == "alloc":
-            size, type_id = ev.args
-            lines.append(f"alloc {ev.id} {size}" + (f" {type_id}" if type_id else ""))
-        elif ev.op in ("alloc_array", "load", "store"):
-            lines.append(f"{ev.op} {ev.id} {ev.args[0]} {ev.args[1]}")
-        elif ev.op in ("realloc", "ptr_add"):
-            lines.append(f"{ev.op} {ev.id} {ev.args[0]}")
-        elif ev.op == "free":
-            lines.append(f"free {ev.id}")
-        elif ev.op in ("memcpy", "strcpy", "strncpy"):
-            lines.append(f"{ev.op} {ev.id} {ev.id2} {ev.args[0]}")
-        else:
-            lines.append(ev.op)
+        template, short, n_ids = _TEMPLATES[ev.op]
+        args = ev.args
+        if short is not None and not args[-1]:
+            template, args = short, args[:-1]
+        lines.append(template % ((ev.id, ev.id2)[:n_ids] + args))
     return "\n".join(lines) + "\n"
 
 
@@ -228,6 +224,11 @@ def run_trace(events: Sequence[TraceEvent], config: EngineConfig | None = None) 
         rng=rng,
     )
     checker = Checker(arena)
+    copy_checks = {
+        "memcpy": checker.check_memcpy,
+        "strcpy": checker.check_strcpy,
+        "strncpy": checker.check_strncpy,
+    }
     bindings: dict[str, object] = {}
     cursors: dict[str, int] = {}
     scopes: list[list] = []
@@ -283,14 +284,9 @@ def run_trace(events: Sequence[TraceEvent], config: EngineConfig | None = None) 
             if config.arith_checks:
                 verdict = checker.check_arith(cursors[ev.id], new_tagged)
             cursors[ev.id] = new_tagged
-        elif op in ("memcpy", "strcpy", "strncpy"):
+        elif op in copy_checks:
             _record(ev.id), _record(ev.id2)
-            check = {
-                "memcpy": checker.check_memcpy,
-                "strcpy": checker.check_strcpy,
-                "strncpy": checker.check_strncpy,
-            }[op]
-            verdict = check(cursors[ev.id], cursors[ev.id2], ev.args[0])
+            verdict = copy_checks[op](cursors[ev.id], cursors[ev.id2], ev.args[0])
         elif op == "scope_begin":
             scopes.append([])
         elif op == "scope_end":
@@ -311,7 +307,7 @@ def run_trace(events: Sequence[TraceEvent], config: EngineConfig | None = None) 
     payload_bytes = stats.total_payload_bytes
     table_bytes = stats.table_touched_bytes
     ratio = (header_bytes + table_bytes + payload_bytes) / payload_bytes if payload_bytes else 1.0
-    return RunReport(
+    report = RunReport(
         event_count=len(events),
         verdicts=counts,
         checks=checker.counters.as_dict(),
@@ -322,10 +318,11 @@ def run_trace(events: Sequence[TraceEvent], config: EngineConfig | None = None) 
             "ratio": ratio,
         },
         event_log=log,
-        exit_status=1 if config.fail_on_violation and any(
-            v is not None and v.is_violation for v in log) else 0,
         live_stats=asdict(stats),
     )
+    if config.fail_on_violation and report.violations:
+        report.exit_status = 1
+    return report
 
 
 # -- workload generation -------------------------------------------------

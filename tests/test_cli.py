@@ -109,6 +109,14 @@ def test_entry_conflict_exits_2(tmp_path, capsys):
     assert err.startswith("frameguard: entry") and err.count("\n") == 1
 
 
+def test_out_of_range_size_exits_2_naming_its_line(tmp_path, capsys):
+    trace = tmp_path / "t.txt"
+    trace.write_text("alloc a 8\nrealloc a 0x100000000\n")
+    assert main(["run", str(trace)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("frameguard: ") and "line 2" in err and err.count("\n") == 1
+
+
 def test_offset_outside_address_space_exits_2(tmp_path, capsys):
     trace = tmp_path / "t.txt"
     trace.write_text("alloc a 10\nload a 0x1000000000000 1\n")

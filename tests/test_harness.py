@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frameguard.harness import (
     EngineConfig,
@@ -75,6 +77,70 @@ def test_parse_errors_carry_line_numbers():
         parse_trace("alloc a 8\nload a 0 0\n")
     with pytest.raises(TraceSyntaxError):
         parse_trace("alloc a 8\nmemcpy a a -4\n")
+
+
+@pytest.mark.parametrize("text, line_no", [
+    ("alloc a 8\nrealloc a 0x100000000\n", 2),
+    ("alloc a 40 -1\n", 1),
+    ("alloc a 8\nalloc b 0x100000000\n", 2),
+])
+def test_parse_rejects_out_of_range_32bit_fields(text, line_no):
+    with pytest.raises(TraceSyntaxError) as e:
+        parse_trace(text)
+    assert e.value.line_no == line_no and f"line {line_no}:" in str(e.value)
+
+
+U32_MAX = 2**32 - 1
+_ids = st.text(alphabet="abxyz_09", min_size=1, max_size=3)
+_sizes = st.sampled_from([1, U32_MAX]) | st.integers(1, U32_MAX)
+_type_ids = st.sampled_from([0, 1, U32_MAX]) | st.integers(0, U32_MAX)
+_offsets = st.integers()
+_positive = st.integers(min_value=1)
+_counts = st.integers(min_value=0)
+
+
+@st.composite
+def _traces(draw):
+    """A valid trace over all twelve ops: ids allocated before use,
+    scopes balanced, integers across each field's full range."""
+    events, ids, depth = [], [], 0
+    for _ in range(draw(st.integers(0, 30))):
+        ops = ["alloc", "alloc_array", "scope_begin"] + ["scope_end"] * (depth > 0)
+        if ids:
+            ops += ["realloc", "free", "load", "store", "ptr_add",
+                    "memcpy", "strcpy", "strncpy"]
+        op = draw(st.sampled_from(ops))
+        if op == "alloc":
+            ids.append(draw(_ids))
+            ev = TraceEvent(op, ids[-1], args=(draw(_sizes), draw(_type_ids)))
+        elif op == "alloc_array":
+            ids.append(draw(_ids))
+            ev = TraceEvent(op, ids[-1], args=(draw(_positive), draw(_positive)))
+        elif op in ("scope_begin", "scope_end"):
+            depth += 1 if op == "scope_begin" else -1
+            ev = TraceEvent(op)
+        else:
+            name = draw(st.sampled_from(ids))
+            if op == "realloc":
+                ev = TraceEvent(op, name, args=(draw(_sizes),))
+            elif op == "free":
+                ev = TraceEvent(op, name)
+            elif op in ("load", "store"):
+                ev = TraceEvent(op, name, args=(draw(_offsets), draw(_positive)))
+            elif op == "ptr_add":
+                ev = TraceEvent(op, name, args=(draw(_offsets),))
+            else:
+                ev = TraceEvent(op, name, draw(st.sampled_from(ids)), args=(draw(_counts),))
+        events.append(ev)
+    return events + [TraceEvent("scope_end")] * depth
+
+
+@settings(deadline=None)
+@given(_traces())
+def test_format_parse_round_trip_over_every_op(events):
+    text = format_trace(events)
+    assert parse_trace(text) == events
+    assert format_trace(parse_trace(text)) == text
 
 
 def test_format_round_trip():
