@@ -98,6 +98,8 @@ class Arena:
             raise ValueError("pad_bytes must be non-negative")
         if placement_jitter < 0:
             raise ValueError("placement_jitter must be non-negative")
+        if placement_jitter and rng is None:
+            raise ValueError("placement_jitter needs an rng to draw gaps from")
         self.table = DivisionTable(base, size)
         self.base = base
         self.size = size
@@ -108,8 +110,6 @@ class Arena:
         # header addresses are never reused, so insertion order is
         # allocation order and ids number the records from 1
         self._by_header: dict[int, AllocationRecord] = {}
-        self._live_count = 0
-        self._live_payload = 0
 
     # -- placement ----------------------------------------------------
 
@@ -117,7 +117,7 @@ class Arena:
         """Header address for total_bytes at the cursor; _register moves
         the cursor once the allocation is accepted."""
         cursor = self._cursor
-        if self._jitter and self._rng is not None:
+        if self._jitter:
             cursor += 16 * self._rng.randrange(self._jitter + 1)
         header = (cursor + 15) & ~15
         end = header + total_bytes
@@ -153,8 +153,6 @@ class Arena:
             scope_id=scope_id,
         )
         self._by_header[header_addr] = record
-        self._live_count += 1
-        self._live_payload += raw_size
         return record
 
     # -- lifecycle ----------------------------------------------------
@@ -268,8 +266,6 @@ class Arena:
             division, slot = self.table.entry_index(record.obj_base, record.frame.n)
             self.table.reset_entry(division, slot)
         record.live = False
-        self._live_count -= 1
-        self._live_payload -= record.raw_size
         # the header bytes stay in place, as they would in a real heap
 
     def read_header(self, header_addr: int) -> Header | None:
@@ -283,13 +279,14 @@ class Arena:
         return list(self._by_header.values())
 
     def stats(self) -> ArenaStats:
+        live = [r.raw_size for r in self._by_header.values() if r.live]
         return ArenaStats(
-            live_allocations=self._live_count,
-            live_header_bytes=HEADER_SIZE * self._live_count,
-            live_payload_bytes=self._live_payload,
+            live_allocations=len(live),
+            live_header_bytes=HEADER_SIZE * len(live),
+            live_payload_bytes=sum(live),
             table_reserved_bytes=self.table.reserved_bytes,
             table_touched_bytes=self.table.touched_bytes,
-            overhead_bytes=HEADER_SIZE * self._live_count + self.table.reserved_bytes,
+            overhead_bytes=HEADER_SIZE * len(live) + self.table.reserved_bytes,
             total_allocations=len(self._by_header),
             total_payload_bytes=sum(r.raw_size for r in self._by_header.values()),
             cursor_used_bytes=self._cursor - self.base,

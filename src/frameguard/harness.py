@@ -35,7 +35,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 from .arena import DEFAULT_ARENA_BASE, DEFAULT_ARENA_SIZE, Arena
@@ -90,8 +90,8 @@ class RunReport:
     checks: dict[str, int]
     overhead: dict[str, object]
     event_log: list[Verdict | None]
+    live_stats: dict[str, int]
     exit_status: int = 0
-    live_stats: dict[str, int] = field(default_factory=dict)
 
     @property
     def violations(self) -> list[tuple[int, str]]:
@@ -510,11 +510,10 @@ def emit_report(report: RunReport, fmt: str = "text") -> str:
             f"payload={o['payload_bytes']}B ratio={o['ratio']:.4f}"
         ),
     ]
-    if report.live_stats:
-        s = report.live_stats
-        lines.append(
-            "arena:      "
-            f"live={s['live_allocations']} live_headers={s['live_header_bytes']}B "
-            f"table_reserved={s['table_reserved_bytes']}B used={s['cursor_used_bytes']}B"
-        )
+    s = report.live_stats
+    lines.append(
+        "arena:      "
+        f"live={s['live_allocations']} live_headers={s['live_header_bytes']}B "
+        f"table_reserved={s['table_reserved_bytes']}B used={s['cursor_used_bytes']}B"
+    )
     return "\n".join(lines) + "\n"

@@ -11,7 +11,8 @@ The table divides the arena into 2**16-byte divisions and keeps one
 (16+i)-frame based at that division and holds the header address of the
 single live object wrapped by that frame, or zero when vacant.  Zero
 doubles as the release marker, which is what makes double frees and
-use-after-free of big-framed objects observable.
+use-after-free of big-framed objects observable.  The full table is
+virtual, reserved and never allocated: only entries ever set are stored.
 
 DivisionTable.header_lookup is the only code that turns a tagged
 pointer into a header address, and Arena.lookup is its only caller: it
@@ -23,7 +24,6 @@ arithmetic, the entry read and their interpretation are written once.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 
 from .frame_math import ADDRESS_MASK, slot_base
@@ -70,7 +70,7 @@ class Header:
 
 
 class DivisionTable:
-    """Arena-wide array of 48-entry division arrays, eagerly allocated."""
+    """Arena-wide 48-entry division arrays; only entries ever set are stored."""
 
     def __init__(self, arena_base: int, arena_size: int):
         if arena_base <= 0:
@@ -84,8 +84,7 @@ class DivisionTable:
         self.arena_base = arena_base
         self.arena_size = arena_size
         self.division_count = arena_size >> DIVISION_BITS
-        self._entries = array("Q", bytes(ENTRY_BYTES * ENTRIES_PER_DIVISION * self.division_count))
-        self._touched: set[int] = set()
+        self._entries: dict[int, int] = {}   # division * 48 + slot -> header
 
     def entry_index(self, addr: int, n: int) -> tuple[int, int]:
         """(division, slot) serving the n-frame around untagged addr.
@@ -105,25 +104,26 @@ class DivisionTable:
         return division, n - DIVISION_BITS
 
     def get_entry(self, division: int, slot: int) -> int:
-        return self._entries[division * ENTRIES_PER_DIVISION + slot]
+        return self._entries.get(division * ENTRIES_PER_DIVISION + slot, 0)
 
     def set_entry(self, division: int, slot: int, header_addr: int) -> None:
         """Record a big-framed object's header; the entry must be vacant."""
         idx = division * ENTRIES_PER_DIVISION + slot
-        occupant = self._entries[idx]
+        occupant = self._entries.get(idx, 0)
         if occupant:
             raise EntryConflictError(
                 f"entry ({division}, {slot}) already holds header {occupant:#x}; "
                 f"refused {header_addr:#x}"
             )
         self._entries[idx] = header_addr
-        self._touched.add(division)
 
     def reset_entry(self, division: int, slot: int) -> int:
         """Vacate an entry and return its prior content (zero if already vacant)."""
         idx = division * ENTRIES_PER_DIVISION + slot
-        prior = self._entries[idx]
-        self._entries[idx] = 0
+        prior = self._entries.get(idx, 0)
+        if prior:
+            # a never-set entry stays absent and out of touched_bytes
+            self._entries[idx] = 0
         return prior
 
     def header_lookup(self, tagged: int) -> int:
@@ -146,10 +146,11 @@ class DivisionTable:
 
     @property
     def reserved_bytes(self) -> int:
-        """Full table footprint; proportional to arena size, not object count."""
+        """Virtual footprint of the whole table: reserved, never allocated."""
         return self.division_count * ENTRIES_PER_DIVISION * ENTRY_BYTES
 
     @property
     def touched_bytes(self) -> int:
-        """Footprint of division arrays that ever held an entry."""
-        return len(self._touched) * ENTRIES_PER_DIVISION * ENTRY_BYTES
+        """Footprint of division arrays that ever held an entry (paged in once used)."""
+        divisions = {idx // ENTRIES_PER_DIVISION for idx in self._entries}
+        return len(divisions) * ENTRIES_PER_DIVISION * ENTRY_BYTES

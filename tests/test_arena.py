@@ -1,10 +1,11 @@
 import random
+import tracemalloc
 
 import pytest
 
 from frameguard.arena import Arena, ArenaExhausted, DEFAULT_ARENA_BASE
 from frameguard.frame_math import SLOT_SIZE, wrapper_frame_oracle
-from frameguard.metadata import EntryConflictError, HEADER_SIZE
+from frameguard.metadata import DivisionTable, EntryConflictError, HEADER_SIZE
 from frameguard.tagging import decode
 from frameguard.verdicts import VerdictKind
 
@@ -226,14 +227,55 @@ def test_accounting():
     a.free(a.records[0].tagged)
     st = a.stats()
     assert st.live_allocations == 2
+    assert st.live_header_bytes == 32
+    assert st.live_payload_bytes == (1 << 17) + 24
     assert st.overhead_bytes == 16 * 2 + st.table_reserved_bytes
     assert st.total_allocations == 3
+
+    # every release path feeds the totals derived from the records
+    _, moved = a.realloc(a.records[2].tagged, 100)
+    st = a.stats()
+    assert (st.live_allocations, st.live_header_bytes) == (2, 32)
+    assert st.live_payload_bytes == (1 << 17) + 100
+    a.scope_end([a.records[1], moved])
+    st = a.stats()
+    assert (st.live_allocations, st.live_header_bytes, st.live_payload_bytes) == (0, 0, 0)
+    assert st.total_allocations == 4
 
 
 def test_arena_exhaustion():
     a = Arena(base=BASE, size=1 << 16)
     with pytest.raises(ArenaExhausted):
         a.alloc(1 << 17)
+
+
+def test_jitter_without_rng_is_rejected():
+    with pytest.raises(ValueError):
+        Arena(placement_jitter=50)
+
+
+def test_largest_arena_is_built_lazily():
+    # the whole 48-bit space above the default base: an eagerly built
+    # table would need about 1.4 TiB
+    size = (1 << 48) - DEFAULT_ARENA_BASE
+    tracemalloc.start()
+    try:
+        a = Arena(size=size)
+        built_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert built_peak < 64 * 1024
+    r = a.alloc(1 << 17)
+    assert a.free(r.tagged).kind is VerdictKind.OK
+    assert a.free(r.tagged).kind is VerdictKind.DOUBLE_FREE
+
+    t = DivisionTable(DEFAULT_ARENA_BASE, size)
+    last = t.division_count - 1
+    t.set_entry(last, 47, 0xABC0)
+    assert t.get_entry(last, 47) == 0xABC0
+    assert t.reset_entry(last, 47) == 0xABC0
+    assert t.get_entry(last, 47) == 0
+    assert t.touched_bytes == 384
 
 
 def test_rejects_bad_sizes():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -301,6 +303,20 @@ def test_workload_no_faults_manifest_empty():
     assert manifest == {}
     report = run_trace(events)
     assert report.violation_total == 0
+
+
+def test_small_object_run_on_large_arena_stays_small():
+    # only the few objects that straddle a slot boundary are big-framed,
+    # so a handful of division arrays is used out of 2**18
+    events, _ = gen_workload(7, WorkloadParams(objects=1000))
+    tracemalloc.start()
+    try:
+        report = run_trace(events, EngineConfig(arena_size=1 << 34))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.violation_total == 0
+    assert peak < 5 * 1024 * 1024
 
 
 def test_workload_fault_rate_density():
