@@ -11,62 +11,14 @@ specific violation.  A trace-replay harness and CLI drive the stack on
 synthetic workloads with known fault manifests.
 """
 
-from .frame_math import (
-    ADDRESS_BITS,
-    ADDRESS_MASK,
-    MAX_FRAME_LOG,
-    SLOT_BITS,
-    SLOT_SIZE,
-    RegionError,
-    WrapperFrame,
-    in_frame,
-    slot_base,
-    wrapper_frame,
-    wrapper_frame_oracle,
-)
-from .tagging import (
-    FLAG_BIT,
-    MAX_BIG_TAG,
-    MIN_BIG_TAG,
-    TAG_MASK,
-    TAG_SHIFT,
-    DecodedPointer,
-    TagError,
-    decode,
-    encode_big,
-    encode_small,
-    is_untagged,
-    rebase,
-    untag,
-)
-from .verdicts import Verdict, VerdictKind
-from .metadata import (
-    DIVISION_BITS,
-    DIVISION_SIZE,
-    ENTRIES_PER_DIVISION,
-    HEADER_SIZE,
-    ArenaRangeError,
-    DivisionTable,
-    EntryConflictError,
-    Header,
-)
-from .arena import (
-    BIG,
-    DEFAULT_ARENA_BASE,
-    DEFAULT_ARENA_SIZE,
-    SMALL,
-    AllocationRecord,
-    Arena,
-    ArenaExhausted,
-    ArenaStats,
-)
-from .checker import AccessRequest, CheckCounters, Checker
+from .frame_math import SLOT_BITS, wrapper_frame
+from .tagging import decode, rebase
+from .verdicts import VerdictKind
+from .metadata import DivisionTable
+from .arena import Arena
+from .checker import AccessRequest, Checker
 from .harness import (
     EngineConfig,
-    RunReport,
-    TraceEvent,
-    TraceRuntimeError,
-    TraceSyntaxError,
     WorkloadParams,
     emit_report,
     format_trace,
@@ -74,5 +26,3 @@ from .harness import (
     parse_trace,
     run_trace,
 )
-
-__version__ = "0.1.0"

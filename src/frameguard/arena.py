@@ -29,13 +29,7 @@ import random
 from dataclasses import dataclass
 
 from .frame_math import SLOT_BITS, WrapperFrame, wrapper_frame
-from .metadata import (
-    HEADER_SIZE,
-    ArenaRangeError,
-    DivisionTable,
-    Header,
-    check_header_fields,
-)
+from .metadata import HEADER_SIZE, ArenaRangeError, DivisionTable, check_header_fields
 # decode is imported only so the traced benchmark run (perfbench/layers.py)
 # finds the name it patches in this module
 from .tagging import decode, encode_big, encode_small, is_untagged, untag  # noqa: F401
@@ -43,9 +37,6 @@ from .verdicts import Verdict, VerdictKind
 
 DEFAULT_ARENA_BASE = 1 << 44          # 0x0000_1000_0000_0000
 DEFAULT_ARENA_SIZE = 1 << 28
-
-SMALL = "small"
-BIG = "big"
 
 
 class ArenaExhausted(RuntimeError):
@@ -61,7 +52,6 @@ class AllocationRecord:
     obj_base: int
     raw_size: int
     frame: WrapperFrame
-    classification: str          # SMALL or BIG
     tagged: int
     type_id: int = 0
     live: bool = True
@@ -69,7 +59,7 @@ class AllocationRecord:
 
     @property
     def is_small(self) -> bool:
-        return self.classification == SMALL
+        return self.frame.n <= SLOT_BITS
 
 
 @dataclass(frozen=True)
@@ -133,10 +123,8 @@ class Arena:
         obj_base = header_addr + HEADER_SIZE
         frame = wrapper_frame(header_addr, header_addr + total_bytes - 1 + self.pad_bytes)
         if frame.n <= SLOT_BITS:
-            classification = SMALL
             tagged = encode_small(header_addr, obj_base)
         else:
-            classification = BIG
             division, slot = self.table.entry_index(obj_base, frame.n)
             self.table.set_entry(division, slot, header_addr)
             tagged = encode_big(frame.n, obj_base)
@@ -147,7 +135,6 @@ class Arena:
             obj_base=obj_base,
             raw_size=raw_size,
             frame=frame,
-            classification=classification,
             tagged=tagged,
             type_id=type_id,
             scope_id=scope_id,
@@ -262,16 +249,11 @@ class Arena:
         return None, record
 
     def _release(self, record: AllocationRecord) -> None:
-        if record.classification == BIG:
+        if not record.is_small:
             division, slot = self.table.entry_index(record.obj_base, record.frame.n)
             self.table.reset_entry(division, slot)
         record.live = False
         # the header bytes stay in place, as they would in a real heap
-
-    def read_header(self, header_addr: int) -> Header | None:
-        """The header stored at header_addr, built from its record."""
-        record = self._by_header.get(header_addr)
-        return None if record is None else Header(record.raw_size, record.type_id)
 
     @property
     def records(self) -> list[AllocationRecord]:

@@ -23,7 +23,7 @@ what it reports.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from .arena import Arena
 from .frame_math import SLOT_BITS, in_frame
@@ -33,11 +33,10 @@ from .verdicts import Verdict, VerdictKind
 
 @dataclass(frozen=True)
 class AccessRequest:
-    """One pending dereference: pointer, width in bytes, direction."""
+    """One pending dereference: pointer and width in bytes."""
 
     tagged: int
     access_size: int
-    is_store: bool = False
 
     def __post_init__(self) -> None:
         if self.access_size < 1:
@@ -50,9 +49,6 @@ class CheckCounters:
     arith_checks: int = 0
     lookups_small: int = 0
     lookups_big: int = 0
-
-    def as_dict(self) -> dict[str, int]:
-        return asdict(self)
 
 
 class Checker:

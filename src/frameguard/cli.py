@@ -1,10 +1,5 @@
 """Command-line driver: replay trace files and generate workloads.
 
-Environment variables with the FRAMEGUARD_ prefix supply defaults for
-the run flags (FRAMEGUARD_ARENA_SIZE, FRAMEGUARD_ARENA_BASE,
-FRAMEGUARD_PAD, FRAMEGUARD_ARITH_CHECKS, FRAMEGUARD_FAIL_ON_VIOLATION,
-FRAMEGUARD_JITTER, FRAMEGUARD_SEED).
-
 Exit status: 0 on success, 1 when violations were found and
 --fail-on-violation is set, 2 on unusable input.
 """
@@ -13,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .arena import DEFAULT_ARENA_BASE, DEFAULT_ARENA_SIZE, ArenaExhausted
@@ -30,19 +24,6 @@ from .harness import (
 )
 from .metadata import EntryConflictError
 
-_ENV_PREFIX = "FRAMEGUARD_"
-
-
-def _env_int(name: str, fallback: int) -> int:
-    raw = os.environ.get(_ENV_PREFIX + name)
-    return int(raw, 0) if raw else fallback
-
-
-def _env_flag(name: str) -> bool:
-    raw = os.environ.get(_ENV_PREFIX + name, "")
-    return raw.lower() in ("1", "true", "yes", "on")
-
-
 def _auto_int(value: str) -> int:
     return int(value, 0)
 
@@ -57,21 +38,17 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="replay a trace file and report verdicts")
     run.add_argument("trace", help="trace file path, or - for stdin")
     run.add_argument("--json", action="store_true", help="emit the JSON report")
-    run.add_argument("--arena-base", type=_auto_int,
-                     default=_env_int("ARENA_BASE", DEFAULT_ARENA_BASE))
-    run.add_argument("--arena-size", type=_auto_int,
-                     default=_env_int("ARENA_SIZE", DEFAULT_ARENA_SIZE))
-    run.add_argument("--pad", type=_auto_int, default=_env_int("PAD", 1),
+    run.add_argument("--arena-base", type=_auto_int, default=DEFAULT_ARENA_BASE)
+    run.add_argument("--arena-size", type=_auto_int, default=DEFAULT_ARENA_SIZE)
+    run.add_argument("--pad", type=_auto_int, default=1,
                      help="fake padding bytes used when framing allocations")
     run.add_argument("--arith-checks", action="store_true",
-                     default=_env_flag("ARITH_CHECKS"),
                      help="enable frame-escape checks at ptr_add")
     run.add_argument("--fail-on-violation", action="store_true",
-                     default=_env_flag("FAIL_ON_VIOLATION"),
                      help="exit nonzero when any violation was detected")
-    run.add_argument("--jitter", type=_auto_int, default=_env_int("JITTER", 0),
+    run.add_argument("--jitter", type=_auto_int, default=0,
                      help="max random gap between objects, in 16-byte units")
-    run.add_argument("--seed", type=_auto_int, default=_env_int("SEED", 0),
+    run.add_argument("--seed", type=_auto_int, default=0,
                      help="placement seed used when --jitter is set")
     run.set_defaults(func=_cmd_run)
 
@@ -110,13 +87,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
         arena_size=args.arena_size,
         pad_bytes=args.pad,
         arith_checks=args.arith_checks,
-        fail_on_violation=args.fail_on_violation,
         placement_jitter=args.jitter,
         placement_seed=args.seed,
     )
     report = run_trace(events, config)
     sys.stdout.write(emit_report(report, "json" if args.json else "text"))
-    return report.exit_status
+    return 1 if args.fail_on_violation and report.violations else 0
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:

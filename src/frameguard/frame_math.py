@@ -37,13 +37,6 @@ class WrapperFrame:
         return 1 << self.n
 
 
-def _check_region(lo: int, hi: int) -> None:
-    if lo < 0 or hi > ADDRESS_MASK:
-        raise RegionError(f"region [{lo:#x}, {hi:#x}] outside the 48-bit space")
-    if lo > hi:
-        raise RegionError(f"region lower bound {lo:#x} above upper bound {hi:#x}")
-
-
 def wrapper_frame(lo: int, hi: int) -> WrapperFrame:
     """Wrapper frame of the inclusive byte region [lo, hi].
 
@@ -52,25 +45,14 @@ def wrapper_frame(lo: int, hi: int) -> WrapperFrame:
     zero count of the XOR, i.e. its bit length.  A single-byte region
     (XOR of zero) gets a 0-frame.
     """
-    _check_region(lo, hi)
+    if lo < 0 or hi > ADDRESS_MASK:
+        raise RegionError(f"region [{lo:#x}, {hi:#x}] outside the 48-bit space")
+    if lo > hi:
+        raise RegionError(f"region lower bound {lo:#x} above upper bound {hi:#x}")
     n = (lo ^ hi).bit_length()
     # hi < 2**48 bounds the XOR, so n never exceeds the address width
     assert n <= ADDRESS_BITS
     return WrapperFrame(n, lo & ~((1 << n) - 1))
-
-
-def wrapper_frame_oracle(lo: int, hi: int) -> int:
-    """Reference wrapper-frame log-size found by linear scan.
-
-    Deliberately naive: the smallest n whose 2**n-sized buckets put lo
-    and hi in the same bucket.  Exists to cross-check wrapper_frame and
-    must stay independent of it.
-    """
-    _check_region(lo, hi)
-    for n in range(MAX_FRAME_LOG + 1):
-        if lo >> n == hi >> n:
-            return n
-    raise AssertionError("unreachable for regions inside the 48-bit space")
 
 
 def slot_base(addr: int) -> int:

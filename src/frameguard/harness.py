@@ -20,7 +20,8 @@ and each integer field's bounds are stated there and nowhere else.
 
 Offsets are relative to the object base and may be negative or past the
 end; probing such addresses is the point.  Integers accept 0x prefixes.
-An alloc or realloc size and a type id must fit 32 bits.
+An alloc or realloc size, an alloc_array's count * elem_size and a
+type id must fit 32 bits.
 Ids must be introduced by alloc or alloc_array before any other use.
 Each load/store composes a pointer at base+offset from the object's
 canonical tagged pointer; ptr_add moves a per-id cursor pointer and the
@@ -70,7 +71,6 @@ class EngineConfig:
     arena_size: int = DEFAULT_ARENA_SIZE
     pad_bytes: int = 1
     arith_checks: bool = False        # frame-escape checks at ptr_add
-    fail_on_violation: bool = False
     placement_jitter: int = 0         # max random inter-object gap, 16-byte units
     placement_seed: int = 0
 
@@ -91,7 +91,6 @@ class RunReport:
     overhead: dict[str, object]
     event_log: list[Verdict | None]
     live_stats: dict[str, int]
-    exit_status: int = 0
 
     @property
     def violations(self) -> list[tuple[int, str]]:
@@ -177,6 +176,10 @@ def parse_trace(source: str | Iterable[str]) -> list[TraceEvent]:
             nums.append(n)
         if missing:
             nums.append(0)
+        if op == "alloc_array" and nums[0] * nums[1] > _U32_MAX:
+            # the product is the header's 32-bit size field
+            raise TraceSyntaxError(
+                line_no, f"count * elem_size {nums[0] * nums[1]} outside [1, {_U32_MAX}]")
         scope_depth += scope
         if scope_depth < 0:
             raise TraceSyntaxError(line_no, "scope_end without matching scope_begin")
@@ -255,9 +258,7 @@ def run_trace(events: Sequence[TraceEvent], config: EngineConfig | None = None) 
         if op in ("load", "store"):
             offset, access_size = ev.args
             tagged = _rebased(ev.id, offset)
-            verdict, _ = checker.check_access(
-                AccessRequest(tagged, access_size, is_store=(op == "store"))
-            )
+            verdict, _ = checker.check_access(AccessRequest(tagged, access_size))
         elif op in ("alloc", "alloc_array"):
             scope_id = len(scopes) - 1 if scopes else None
             if op == "alloc":
@@ -307,10 +308,10 @@ def run_trace(events: Sequence[TraceEvent], config: EngineConfig | None = None) 
     payload_bytes = stats.total_payload_bytes
     table_bytes = stats.table_touched_bytes
     ratio = (header_bytes + table_bytes + payload_bytes) / payload_bytes if payload_bytes else 1.0
-    report = RunReport(
+    return RunReport(
         event_count=len(events),
         verdicts=counts,
-        checks=checker.counters.as_dict(),
+        checks=asdict(checker.counters),
         overhead={
             "header_bytes": header_bytes,
             "table_bytes": table_bytes,
@@ -320,9 +321,6 @@ def run_trace(events: Sequence[TraceEvent], config: EngineConfig | None = None) 
         event_log=log,
         live_stats=asdict(stats),
     )
-    if config.fail_on_violation and report.violations:
-        report.exit_status = 1
-    return report
 
 
 # -- workload generation -------------------------------------------------

@@ -24,8 +24,6 @@ arithmetic, the entry read and their interpretation are written once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .frame_math import ADDRESS_MASK, slot_base
 from .tagging import MAX_BIG_TAG, MIN_BIG_TAG, TagError, decode
 
@@ -56,17 +54,6 @@ def check_header_fields(size: int, type_id: int) -> None:
         raise ValueError(f"header size {size} not a 32-bit value")
     if not 0 <= type_id <= _U32_MAX:
         raise ValueError(f"type id {type_id} not a 32-bit value")
-
-
-@dataclass(frozen=True)
-class Header:
-    """16-byte metadata record stored immediately below the object."""
-
-    size: int
-    type_id: int = 0
-
-    def __post_init__(self) -> None:
-        check_header_fields(self.size, self.type_id)
 
 
 class DivisionTable:

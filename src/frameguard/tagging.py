@@ -11,8 +11,6 @@ consumers must accept those and pass them through unchecked.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from .frame_math import ADDRESS_MASK, slot_base
 
 FLAG_BIT = 1 << 63
@@ -24,12 +22,6 @@ MAX_BIG_TAG = 48    # no wrapper frame exceeds the 48-bit space
 
 class TagError(ValueError):
     """Arguments violate the tagged-pointer layout."""
-
-
-class DecodedPointer(NamedTuple):
-    flag: int
-    tag: int
-    address: int
 
 
 def _check_address(addr: int, what: str) -> None:
@@ -68,9 +60,9 @@ def untag(p: int) -> int:
     return p & ADDRESS_MASK
 
 
-def decode(p: int) -> DecodedPointer:
+def decode(p: int) -> tuple[int, int, int]:
     """Split a raw pointer value into (flag, tag, address)."""
-    return DecodedPointer(p >> 63, (p >> TAG_SHIFT) & TAG_MASK, p & ADDRESS_MASK)
+    return p >> 63, (p >> TAG_SHIFT) & TAG_MASK, p & ADDRESS_MASK
 
 
 def is_untagged(p: int) -> bool:

@@ -4,10 +4,11 @@ import tracemalloc
 import pytest
 
 from frameguard.arena import Arena, ArenaExhausted, DEFAULT_ARENA_BASE
-from frameguard.frame_math import SLOT_SIZE, wrapper_frame_oracle
+from frameguard.frame_math import SLOT_SIZE
 from frameguard.metadata import DivisionTable, EntryConflictError, HEADER_SIZE
 from frameguard.tagging import decode
 from frameguard.verdicts import VerdictKind
+from oracles import wrapper_frame_oracle
 
 BASE = DEFAULT_ARENA_BASE
 
@@ -22,12 +23,12 @@ def test_alloc_geometry():
     assert r.header_addr == BASE
     assert r.obj_base == r.header_addr + HEADER_SIZE
     assert r.raw_size == 40
-    hdr = a.read_header(r.header_addr)
-    assert (hdr.size, hdr.type_id) == (40, 3)
+    assert (r.raw_size, r.type_id) == (40, 3)
+    assert a.lookup(r.tagged) == (None, r)
     # frame wraps header through padded upper bound
     lo, hi = r.header_addr, r.obj_base + 40 - 1 + 1
     assert r.frame.n == wrapper_frame_oracle(lo, hi)
-    assert r.classification == "small"
+    assert r.is_small
     flag, tag, addr = decode(r.tagged)
     assert flag == 1 and addr == r.obj_base
     assert (r.header_addr - (r.header_addr & ~(SLOT_SIZE - 1))) == tag
@@ -36,7 +37,7 @@ def test_alloc_geometry():
 def test_alloc_big_sets_entry():
     a = small_arena()
     r = a.alloc(1 << 17)
-    assert r.classification == "big"
+    assert not r.is_small
     assert r.frame.n >= 17
     division, slot = a.table.entry_index(r.obj_base, r.frame.n)
     assert a.table.get_entry(division, slot) == r.header_addr
@@ -63,7 +64,7 @@ def test_classification_matches_oracle_randomized():
         r = a.alloc(size)
         n = wrapper_frame_oracle(r.header_addr, r.obj_base + size - 1 + 1)
         assert r.frame.n == n
-        assert (r.classification == "small") == (n <= 15)
+        assert r.is_small == (n <= 15)
 
 
 def test_size_one_16_aligned_placements_inside_slot_are_small():
@@ -106,7 +107,7 @@ def test_realloc_small_to_big():
     v, r2 = a.realloc(r.tagged, 1 << 17)
     assert v.kind is VerdictKind.OK
     assert not r.live and r2.live
-    assert r.classification == "small" and r2.classification == "big"
+    assert r.is_small and not r2.is_small
     division, slot = a.table.entry_index(r2.obj_base, r2.frame.n)
     assert a.table.get_entry(division, slot) == r2.header_addr
 

@@ -8,8 +8,8 @@ from frameguard.frame_math import (
     in_frame,
     slot_base,
     wrapper_frame,
-    wrapper_frame_oracle,
 )
+from oracles import wrapper_frame_oracle
 
 
 def test_wrapper_frame_examples():

@@ -8,7 +8,7 @@ from frameguard.metadata import (
     ArenaRangeError,
     DivisionTable,
     EntryConflictError,
-    Header,
+    check_header_fields,
 )
 from frameguard.tagging import TagError, encode_big, encode_small
 
@@ -16,12 +16,12 @@ BASE = 0x0000_1000_0000_0000
 
 
 def test_header_fields():
-    h = Header(40, 7)
-    assert h.size == 40 and h.type_id == 7
+    check_header_fields(40, 7)
+    check_header_fields((1 << 32) - 1, (1 << 32) - 1)
     with pytest.raises(ValueError):
-        Header(1 << 32)
+        check_header_fields(1 << 32, 0)
     with pytest.raises(ValueError):
-        Header(1, type_id=-1)
+        check_header_fields(1, -1)
 
 
 def test_table_init():
