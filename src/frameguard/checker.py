@@ -4,8 +4,9 @@ Every check classifies the pointer through Arena.lookup, the one place
 a pointer's outcome is decided, reads the raw object size from the
 allocation record it returns, and reports the outcome as a verdict.
 Checks never raise for bad accesses; a replay run keeps going and
-collects every violation.  The bounds rule for an access of s bytes at
-untagged address p with object base b and raw size z:
+keeps only its violations, as (event index, kind), plus per-kind
+counts; nothing is kept per event.  The bounds rule for an access of
+s bytes at untagged address p with object base b and raw size z:
 
     p <  b            -> underflow (protects the header as well)
     p + s - 1 > b+z-1 -> overflow
@@ -69,7 +70,7 @@ class Checker:
         kind, record = self.arena.lookup(tagged)
         # record first: enum attribute reads are slow and this is the hot path
         if record is None and kind is VerdictKind.UNTRACKED:
-            return Verdict(kind, address=tagged, access_size=size)
+            return Verdict(kind, address=tagged)
         if tagged >> 63:
             counters.lookups_small += 1
         else:
@@ -78,28 +79,24 @@ class Checker:
         if record is None:
             # out of frame, or a vacated entry (released big-framed object)
             return Verdict(kind or VerdictKind.USE_AFTER_FREE, address=addr,
-                           access_size=size, operand=operand)
+                           operand=operand)
         obj_base = record.obj_base
         if addr < obj_base:
             kind = VerdictKind.UNDERFLOW
         elif addr + size > obj_base + record.raw_size:
             kind = VerdictKind.OVERFLOW
         else:
-            return Verdict(VerdictKind.OK, address=addr, alloc_id=record.id,
-                           access_size=size)
-        return Verdict(kind, address=addr, alloc_id=record.id, access_size=size,
-                       operand=operand)
+            return Verdict(VerdictKind.OK, address=addr, alloc_id=record.id)
+        return Verdict(kind, address=addr, alloc_id=record.id, operand=operand)
 
     # -- checks -------------------------------------------------------
 
-    def check_access(self, req: AccessRequest) -> tuple[Verdict, int]:
-        """Verify one load or store; returns (verdict, untagged address).
+    def check_access(self, req: AccessRequest) -> Verdict:
+        """Verify one load or store; untracked addresses pass unchecked.
 
-        Untracked plain addresses pass through unchecked.  The untagged
-        address comes back either way so the caller can dereference it.
+        The verdict's address is the untagged one, for the caller to use.
         """
-        verdict = self._check(req.tagged, req.access_size)
-        return verdict, verdict.address
+        return self._check(req.tagged, req.access_size)
 
     def check_arith(self, old: int, new: int) -> Verdict:
         """Frame-escape test for a pointer arithmetic step.
@@ -129,7 +126,7 @@ class Checker:
         if n < 0:
             raise ValueError("byte count must be non-negative")
         if n == 0:
-            return Verdict(VerdictKind.OK, access_size=0)
+            return Verdict(VerdictKind.OK)
         dst_v = self._check(dst, n, "dst")
         if dst_v.is_violation:
             return dst_v
@@ -137,8 +134,8 @@ class Checker:
         if src_v.is_violation:
             return src_v
         if dst_v.kind is VerdictKind.UNTRACKED and src_v.kind is VerdictKind.UNTRACKED:
-            return Verdict(VerdictKind.UNTRACKED, access_size=n)
-        return Verdict(VerdictKind.OK, access_size=n)
+            return Verdict(VerdictKind.UNTRACKED)
+        return Verdict(VerdictKind.OK)
 
     # bounded string copy: both arrays must hold at least n bytes, which
     # is exactly the memcpy rule
@@ -149,7 +146,7 @@ class Checker:
         if n < 0:
             raise ValueError("byte count must be non-negative")
         if n == 0:
-            return Verdict(VerdictKind.OK, access_size=0)
+            return Verdict(VerdictKind.OK)
         return self._check(dst, n, "dst")
 
     def check_strcpy(self, dst: int, src: int, src_strlen: int) -> Verdict:

@@ -79,6 +79,8 @@ class EngineConfig:
 class RunReport:
     """Aggregated outcome of one trace run.
 
+    verdicts counts each kind; violations holds (event index, kind) for
+    the violating events only, in order.  Nothing is kept per event.
     Overhead counts are cumulative over the run: one header per
     allocation performed, the payload bytes requested, and the
     footprint of division arrays actually touched.  ratio is
@@ -89,20 +91,8 @@ class RunReport:
     verdicts: dict[str, int]
     checks: dict[str, int]
     overhead: dict[str, object]
-    event_log: list[Verdict | None]
+    violations: list[tuple[int, str]]
     live_stats: dict[str, int]
-
-    @property
-    def violations(self) -> list[tuple[int, str]]:
-        return [
-            (i, v.kind.value)
-            for i, v in enumerate(self.event_log)
-            if v is not None and v.is_violation
-        ]
-
-    @property
-    def violation_total(self) -> int:
-        return len(self.violations)
 
 
 # -- parsing -----------------------------------------------------------
@@ -235,7 +225,8 @@ def run_trace(events: Sequence[TraceEvent], config: EngineConfig | None = None) 
     bindings: dict[str, object] = {}
     cursors: dict[str, int] = {}
     scopes: list[list] = []
-    log: list[Verdict | None] = []
+    counts = dict.fromkeys(VerdictKind, 0)
+    violations: list[tuple[int, str]] = []
 
     def _record(name: str):
         try:
@@ -252,13 +243,13 @@ def run_trace(events: Sequence[TraceEvent], config: EngineConfig | None = None) 
             )
         return rebase(record.tagged, addr)
 
-    for ev in events:
+    for index, ev in enumerate(events):
         verdict: Verdict | None = None
         op = ev.op
         if op in ("load", "store"):
             offset, access_size = ev.args
             tagged = _rebased(ev.id, offset)
-            verdict, _ = checker.check_access(AccessRequest(tagged, access_size))
+            verdict = checker.check_access(AccessRequest(tagged, access_size))
         elif op in ("alloc", "alloc_array"):
             scope_id = len(scopes) - 1 if scopes else None
             if op == "alloc":
@@ -296,12 +287,11 @@ def run_trace(events: Sequence[TraceEvent], config: EngineConfig | None = None) 
             arena.scope_end(scopes.pop())
         else:
             raise TraceRuntimeError(f"unknown operation {op!r}")
-        log.append(verdict)
-
-    counts = {kind.value: 0 for kind in VerdictKind}
-    for v in log:
-        if v is not None:
-            counts[v.kind.value] += 1
+        if verdict is not None:
+            # counted by member: a member's .value read is slow per event
+            counts[verdict.kind] += 1
+            if verdict.is_violation:
+                violations.append((index, verdict.kind.value))
 
     stats = arena.stats()
     header_bytes = HEADER_SIZE * stats.total_allocations
@@ -310,7 +300,7 @@ def run_trace(events: Sequence[TraceEvent], config: EngineConfig | None = None) 
     ratio = (header_bytes + table_bytes + payload_bytes) / payload_bytes if payload_bytes else 1.0
     return RunReport(
         event_count=len(events),
-        verdicts=counts,
+        verdicts={kind.value: n for kind, n in counts.items()},
         checks=asdict(checker.counters),
         overhead={
             "header_bytes": header_bytes,
@@ -318,7 +308,7 @@ def run_trace(events: Sequence[TraceEvent], config: EngineConfig | None = None) 
             "payload_bytes": payload_bytes,
             "ratio": ratio,
         },
-        event_log=log,
+        violations=violations,
         live_stats=asdict(stats),
     )
 
@@ -496,7 +486,7 @@ def emit_report(report: RunReport, fmt: str = "text") -> str:
             f"out_of_frame={v['out_of_frame']} use_after_free={v['use_after_free']} "
             f"double_free={v['double_free']} untracked={v['untracked']}"
         ),
-        f"violations: {report.violation_total}",
+        f"violations: {len(report.violations)}",
         (
             "checks:     "
             f"access={c['access_checks']} arith={c['arith_checks']} "

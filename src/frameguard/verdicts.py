@@ -16,6 +16,10 @@ class VerdictKind(str, Enum):
     UNTRACKED = "untracked"
 
 
+# a module-level tuple: reading VerdictKind members per call is slow
+_PASSING = (VerdictKind.OK, VerdictKind.UNTRACKED)
+
+
 @dataclass(frozen=True)
 class Verdict:
     """One check's outcome plus whatever detail was resolvable.
@@ -28,9 +32,8 @@ class Verdict:
     kind: VerdictKind
     address: int | None = None       # offending (or passed) untagged address
     alloc_id: int | None = None      # allocation record id when resolvable
-    access_size: int | None = None
     operand: str | None = None       # "dst" / "src" for two-pointer checks
 
     @property
     def is_violation(self) -> bool:
-        return self.kind is not VerdictKind.OK and self.kind is not VerdictKind.UNTRACKED
+        return self.kind not in _PASSING

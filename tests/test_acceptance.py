@@ -175,7 +175,7 @@ def test_unsafe_cast_store_regression():
     report = run_trace(parse_trace("alloc p 10\nstore p 8 4\n"))
     ok = (
         report.verdicts["overflow"] == 1
-        and report.violation_total == 1
+        and len(report.violations) == 1
         and report.violations == [(1, "overflow")]
     )
     _criterion("unsafe-cast store (4 bytes at offset 8 of 10) yields exactly one overflow",

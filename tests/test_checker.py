@@ -18,8 +18,7 @@ def setup():
 
 def access(checker, record, offset, size):
     tagged = rebase(record.tagged, record.obj_base + offset)
-    verdict, _ = checker.check_access(AccessRequest(tagged, size))
-    return verdict
+    return checker.check_access(AccessRequest(tagged, size))
 
 
 def test_access_examples():
@@ -43,17 +42,17 @@ def test_ok_returns_untagged_address():
     arena, ck = setup()
     r = arena.alloc(64)
     tagged = rebase(r.tagged, r.obj_base + 8)
-    verdict, untagged = ck.check_access(AccessRequest(tagged, 4))
+    verdict = ck.check_access(AccessRequest(tagged, 4))
     assert verdict.kind is VerdictKind.OK
-    assert untagged == r.obj_base + 8 == untag(tagged)
+    assert verdict.address == r.obj_base + 8 == untag(tagged)
 
 
 def test_untracked_passthrough():
     _, ck = setup()
-    verdict, untagged = ck.check_access(AccessRequest(0x4242, 8))
+    verdict = ck.check_access(AccessRequest(0x4242, 8))
     assert verdict.kind is VerdictKind.UNTRACKED
     assert not verdict.is_violation
-    assert untagged == 0x4242
+    assert verdict.address == 0x4242
 
 
 def test_big_framed_use_after_free():
@@ -157,7 +156,7 @@ def test_loop_idiom_pointer_into_padding():
     r = arena.alloc(40)
     p = rebase(r.tagged, r.obj_base + 40)
     assert ck.check_arith(r.tagged, p).kind is VerdictKind.OK
-    v, _ = ck.check_access(AccessRequest(p, 1))
+    v = ck.check_access(AccessRequest(p, 1))
     assert v.kind is VerdictKind.OVERFLOW
 
 
@@ -293,7 +292,7 @@ def test_resolver_users_agree(case, access, free, realloc, lookup):
     else:
         expected = r.header_addr if lookup == "header" else lookup
         assert arena.table.header_lookup(tagged) == expected
-    assert ck.check_access(AccessRequest(tagged, 1))[0].kind is access
+    assert ck.check_access(AccessRequest(tagged, 1)).kind is access
     assert ck.check_free(tagged).kind is free
 
     arena, ck, r, tagged = _resolver_case(case)

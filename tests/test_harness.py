@@ -1,3 +1,4 @@
+import gc
 import tracemalloc
 
 import pytest
@@ -15,7 +16,6 @@ from frameguard.harness import (
     parse_trace,
     run_trace,
 )
-from frameguard.verdicts import VerdictKind
 
 
 # -- parsing -----------------------------------------------------------
@@ -172,8 +172,8 @@ def test_run_overflow_trace():
 def test_run_double_free_trace():
     report = run_trace(parse_trace("alloc a 200000\nfree a\nfree a\n"))
     assert report.verdicts["double_free"] == 1
-    assert report.event_log[1].kind is VerdictKind.OK
-    assert report.event_log[2].kind is VerdictKind.DOUBLE_FREE
+    assert report.verdicts["ok"] == 1 and sum(report.verdicts.values()) == 2
+    assert report.violations == [(2, "double_free")]
 
 
 def test_run_use_after_free_trace():
@@ -187,6 +187,17 @@ def test_far_small_access_is_out_of_frame():
     for config in (EngineConfig(), EngineConfig(arith_checks=True)):
         report = run_trace(parse_trace("alloc a 10\nstore a 100000 1\n"), config)
         assert report.violations == [(1, "out_of_frame")]
+
+
+def test_far_big_access_is_judged_against_the_frames_live_owner():
+    # a's pointer moved 131 KB past its end lands in the n-frame of d,
+    # whose table entry is live, so both stores are judged against d:
+    # the first passes as ok, the second hits d's header (underflow)
+    text = ("alloc a 100000\nalloc f 31040\nalloc d 100000\n"
+            "store a 131072 4\nstore a 131056 4\n")
+    report = run_trace(parse_trace(text))
+    assert report.violations == [(4, "underflow")]
+    assert report.verdicts["ok"] == 1 and sum(report.verdicts.values()) == 2
 
 
 def test_realloc_trace_rebinds():
@@ -220,16 +231,16 @@ def test_nested_scopes_do_not_touch_outer_records():
         "load outer 0 1\n"   # released with the outer scope
     )
     report = run_trace(parse_trace(text))
-    kinds = [v.kind.value for v in report.event_log if v is not None]
-    assert kinds == ["use_after_free", "ok", "use_after_free"]
+    assert report.violations == [(5, "use_after_free"), (8, "use_after_free")]
+    assert report.verdicts["ok"] == 1 and sum(report.verdicts.values()) == 3
 
 
 def test_ptr_add_is_noop_without_arith_checks():
     text = "alloc a 40\nptr_add a 100000\nstore a 0 1\n"
     report = run_trace(parse_trace(text))
-    assert report.event_log[1] is None
+    assert sum(report.verdicts.values()) == 1   # the store; ptr_add gave none
     assert report.checks["arith_checks"] == 0
-    assert report.violation_total == 0
+    assert len(report.violations) == 0
 
 
 def test_ptr_add_out_of_frame_reported_distinctly():
@@ -243,7 +254,8 @@ def test_ptr_add_out_of_frame_reported_distinctly():
     assert report.verdicts["out_of_frame"] == 2
     assert report.verdicts["overflow"] == 0 and report.verdicts["underflow"] == 0
     assert report.checks["arith_checks"] == 2
-    assert report.event_log[3].kind is VerdictKind.OK
+    assert report.verdicts["ok"] == 1 and sum(report.verdicts.values()) == 3
+    assert report.violations == [(1, "out_of_frame"), (2, "out_of_frame")]
 
 
 def test_memcpy_trace_uses_moved_cursors():
@@ -253,11 +265,13 @@ def test_memcpy_trace_uses_moved_cursors():
         "ptr_add dst 32\n"
         "memcpy dst src 32\n"   # fits: 32 bytes from offset 32
         "memcpy dst src 33\n"   # one byte too many
+        "alloc gone 200000\n"
+        "free gone\n"
+        "memcpy dst gone 33\n"  # dst judged first: overflow, not use_after_free
     )
     report = run_trace(parse_trace(text))
-    assert report.event_log[3].kind is VerdictKind.OK
-    assert report.event_log[4].kind is VerdictKind.OVERFLOW
-    assert report.event_log[4].operand == "dst"
+    assert report.violations == [(4, "overflow"), (7, "overflow")]
+    assert report.verdicts["ok"] == 2 and sum(report.verdicts.values()) == 4
 
 
 def test_strcpy_and_strncpy_traces():
@@ -270,15 +284,37 @@ def test_strcpy_and_strncpy_traces():
         "strncpy dst src 11\n"
     )
     report = run_trace(parse_trace(text))
-    kinds = [v.kind.value for v in report.event_log[2:]]
-    assert kinds == ["ok", "overflow", "ok", "overflow"]
+    assert report.violations == [(3, "overflow"), (5, "overflow")]
+    assert report.verdicts["ok"] == 2 and sum(report.verdicts.values()) == 4
 
 
 def test_empty_trace_report():
     report = run_trace([])
     assert report.event_count == 0
     assert report.overhead["ratio"] == 1.0
-    assert report.violation_total == 0
+    assert len(report.violations) == 0
+
+
+def _retained_bytes(events):
+    """tracemalloc growth over one run_trace: what its report keeps alive."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        report = run_trace(events)
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0] - before, report
+    finally:
+        tracemalloc.stop()
+
+
+def test_report_memory_does_not_grow_with_trace_length():
+    sizes = {}
+    for stores in (1000, 20000):
+        events = parse_trace("alloc a 64\n" + "store a 0 4\n" * stores)
+        sizes[stores], report = _retained_bytes(events)
+        assert report.verdicts["ok"] == stores and report.violations == []
+    assert abs(sizes[20000] - sizes[1000]) < 64 * 1024
 
 
 def test_report_determinism():
@@ -301,7 +337,7 @@ def test_workload_no_faults_manifest_empty():
     events, manifest = gen_workload(7, WorkloadParams(objects=100))
     assert manifest == {}
     report = run_trace(events)
-    assert report.violation_total == 0
+    assert len(report.violations) == 0
 
 
 def test_small_object_run_on_large_arena_stays_small():
@@ -314,7 +350,7 @@ def test_small_object_run_on_large_arena_stays_small():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert report.violation_total == 0
+    assert len(report.violations) == 0
     assert peak < 5 * 1024 * 1024
 
 
