@@ -32,8 +32,8 @@ from .frame_math import SLOT_BITS, WrapperFrame, wrapper_frame
 from .metadata import HEADER_SIZE, ArenaRangeError, DivisionTable, check_header_fields
 # decode is imported only so the traced benchmark run (perfbench/layers.py)
 # finds the name it patches in this module
-from .tagging import decode, encode_big, encode_small, is_untagged, untag  # noqa: F401
-from .verdicts import Verdict, VerdictKind
+from .tagging import TAG_SHIFT, decode, encode_big, encode_small, untag  # noqa: F401
+from .verdicts import DOUBLE_FREE, OK, OUT_OF_FRAME, UNTRACKED, Verdict, VerdictKind
 
 DEFAULT_ARENA_BASE = 1 << 44          # 0x0000_1000_0000_0000
 DEFAULT_ARENA_SIZE = 1 << 28
@@ -43,7 +43,7 @@ class ArenaExhausted(RuntimeError):
     """The bump cursor ran past the end of the arena."""
 
 
-@dataclass
+@dataclass(slots=True)
 class AllocationRecord:
     """Bookkeeping for one allocation, live or dead."""
 
@@ -192,7 +192,7 @@ class Arena:
         # payload would be copied up to min(old, new) here; contents are
         # not modelled, only geometry and metadata
         self._release(old)
-        return Verdict(VerdictKind.OK, address=new.obj_base, alloc_id=new.id), new
+        return Verdict(OK, address=new.obj_base, alloc_id=new.id), new
 
     def free(self, tagged: int) -> Verdict:
         """Release through the hidden base (the header address).
@@ -205,7 +205,7 @@ class Arena:
         if fail is not None:
             return fail
         self._release(record)
-        return Verdict(VerdictKind.OK, address=untag(tagged), alloc_id=record.id)
+        return Verdict(OK, address=untag(tagged), alloc_id=record.id)
 
     def scope_end(self, records: list[AllocationRecord]) -> None:
         """Epilogue for a closing scope: vacate big-frame entries and
@@ -224,17 +224,17 @@ class Arena:
         at the resolved header), where None is a vacated big-frame entry.
         Callers judge bounds and liveness from the record.
         """
-        if is_untagged(tagged):
-            return VerdictKind.UNTRACKED, None
+        if not tagged >> TAG_SHIFT:
+            return UNTRACKED, None
         try:
             record = self._by_header.get(self.table.header_lookup(tagged))
         except ArenaRangeError:
             # the frame base left the arena entirely
-            return VerdictKind.OUT_OF_FRAME, None
+            return OUT_OF_FRAME, None
         if record is None and tagged >> 63:
             # anywhere in its own slot a small-framed pointer finds its
             # header, live or dead; no header means it left the slot
-            return VerdictKind.OUT_OF_FRAME, None
+            return OUT_OF_FRAME, None
         return None, record
 
     def _resolve_live(self, tagged: int) -> tuple[Verdict | None, AllocationRecord | None]:
@@ -242,7 +242,7 @@ class Arena:
         handed to a deallocation path."""
         kind, record = self.lookup(tagged)
         if kind is None and (record is None or not record.live):
-            kind = VerdictKind.DOUBLE_FREE
+            kind = DOUBLE_FREE
         if kind is not None:
             return Verdict(kind, address=untag(tagged),
                            alloc_id=record.id if record else None), None

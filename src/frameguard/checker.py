@@ -27,21 +27,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arena import Arena
-from .frame_math import SLOT_BITS, in_frame
-from .tagging import MAX_BIG_TAG, MIN_BIG_TAG, TagError, decode, is_untagged, untag
-from .verdicts import Verdict, VerdictKind
+from .frame_math import ADDRESS_MASK, SLOT_BITS
+# decode is unused, kept only because perfbench/layers.py patches it here
+from .tagging import MAX_BIG_TAG, MIN_BIG_TAG, TAG_SHIFT, TagError, decode  # noqa: F401
+from .verdicts import OK, OUT_OF_FRAME, OVERFLOW, UNDERFLOW, UNTRACKED, USE_AFTER_FREE, Verdict
 
 
-@dataclass(frozen=True)
 class AccessRequest:
     """One pending dereference: pointer and width in bytes."""
 
-    tagged: int
-    access_size: int
+    __slots__ = ("tagged", "access_size")
 
-    def __post_init__(self) -> None:
-        if self.access_size < 1:
+    def __init__(self, tagged: int, access_size: int):
+        if access_size < 1:
             raise ValueError("access size must be at least 1")
+        self.tagged = tagged
+        self.access_size = access_size
 
 
 @dataclass
@@ -68,26 +69,24 @@ class Checker:
         counters = self.counters
         counters.access_checks += 1
         kind, record = self.arena.lookup(tagged)
-        # record first: enum attribute reads are slow and this is the hot path
-        if record is None and kind is VerdictKind.UNTRACKED:
-            return Verdict(kind, address=tagged)
+        if kind is UNTRACKED:
+            return Verdict(kind, tagged)
         if tagged >> 63:
             counters.lookups_small += 1
         else:
             counters.lookups_big += 1
-        addr = untag(tagged)
+        addr = tagged & ADDRESS_MASK
         if record is None:
             # out of frame, or a vacated entry (released big-framed object)
-            return Verdict(kind or VerdictKind.USE_AFTER_FREE, address=addr,
-                           operand=operand)
+            return Verdict(kind or USE_AFTER_FREE, addr, None, operand)
         obj_base = record.obj_base
         if addr < obj_base:
-            kind = VerdictKind.UNDERFLOW
+            kind = UNDERFLOW
         elif addr + size > obj_base + record.raw_size:
-            kind = VerdictKind.OVERFLOW
+            kind = OVERFLOW
         else:
-            return Verdict(VerdictKind.OK, address=addr, alloc_id=record.id)
-        return Verdict(kind, address=addr, alloc_id=record.id, operand=operand)
+            return Verdict(OK, addr, record.id)
+        return Verdict(kind, addr, record.id, operand)
 
     # -- checks -------------------------------------------------------
 
@@ -107,35 +106,34 @@ class Checker:
         only fail if dereferenced.
         """
         self.counters.arith_checks += 1
-        if is_untagged(old):
-            return Verdict(VerdictKind.UNTRACKED, address=untag(new))
-        flag, tag, old_addr = decode(old)
-        if flag:
+        new_addr = new & ADDRESS_MASK
+        if not old >> TAG_SHIFT:
+            return Verdict(UNTRACKED, new_addr)
+        if old >> 63:
             n = SLOT_BITS
-        elif MIN_BIG_TAG <= tag <= MAX_BIG_TAG:
-            n = tag
         else:
-            raise TagError(f"value {old:#x} carries no resolvable tag")
-        new_addr = untag(new)
-        if in_frame(old_addr, new_addr, n):
-            return Verdict(VerdictKind.OK, address=new_addr)
-        return Verdict(VerdictKind.OUT_OF_FRAME, address=new_addr)
+            n = old >> TAG_SHIFT       # the flag is clear: all 16 top bits
+            if not MIN_BIG_TAG <= n <= MAX_BIG_TAG:
+                raise TagError(f"value {old:#x} carries no resolvable tag")
+        if ((old & ADDRESS_MASK) ^ new_addr) >> n:
+            return Verdict(OUT_OF_FRAME, new_addr)
+        return Verdict(OK, new_addr)
 
     def check_memcpy(self, dst: int, src: int, n: int) -> Verdict:
         """Both operands of an n-byte copy, destination judged first."""
         if n < 0:
             raise ValueError("byte count must be non-negative")
         if n == 0:
-            return Verdict(VerdictKind.OK)
+            return Verdict(OK)
         dst_v = self._check(dst, n, "dst")
         if dst_v.is_violation:
             return dst_v
         src_v = self._check(src, n, "src")
         if src_v.is_violation:
             return src_v
-        if dst_v.kind is VerdictKind.UNTRACKED and src_v.kind is VerdictKind.UNTRACKED:
-            return Verdict(VerdictKind.UNTRACKED)
-        return Verdict(VerdictKind.OK)
+        if dst_v.kind is UNTRACKED and src_v.kind is UNTRACKED:
+            return Verdict(UNTRACKED)
+        return Verdict(OK)
 
     # bounded string copy: both arrays must hold at least n bytes, which
     # is exactly the memcpy rule
@@ -146,7 +144,7 @@ class Checker:
         if n < 0:
             raise ValueError("byte count must be non-negative")
         if n == 0:
-            return Verdict(VerdictKind.OK)
+            return Verdict(OK)
         return self._check(dst, n, "dst")
 
     def check_strcpy(self, dst: int, src: int, src_strlen: int) -> Verdict:

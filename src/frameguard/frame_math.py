@@ -12,7 +12,7 @@ exact; out-of-range regions are rejected, never silently masked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 ADDRESS_BITS = 48
 ADDRESS_MASK = (1 << ADDRESS_BITS) - 1
@@ -25,8 +25,7 @@ class RegionError(ValueError):
     """Malformed byte region (lo > hi, or outside the 48-bit space)."""
 
 
-@dataclass(frozen=True)
-class WrapperFrame:
+class WrapperFrame(NamedTuple):
     """Smallest size-aligned power-of-two block containing a region."""
 
     n: int        # log2 of the frame size, in [0, 63]

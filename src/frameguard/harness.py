@@ -41,9 +41,8 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .arena import DEFAULT_ARENA_BASE, DEFAULT_ARENA_SIZE, Arena
 from .checker import AccessRequest, Checker
-from .frame_math import ADDRESS_MASK
 from .metadata import HEADER_SIZE, _U32_MAX
-from .tagging import rebase
+from .tagging import TAG_SHIFT, rebase
 from .verdicts import Verdict, VerdictKind
 
 MAX_WORKLOAD_OBJECT_SIZE = 1 << 20
@@ -217,6 +216,7 @@ def run_trace(events: Sequence[TraceEvent], config: EngineConfig | None = None) 
         rng=rng,
     )
     checker = Checker(arena)
+    check_access = checker.check_access
     copy_checks = {
         "memcpy": checker.check_memcpy,
         "strcpy": checker.check_strcpy,
@@ -234,22 +234,26 @@ def run_trace(events: Sequence[TraceEvent], config: EngineConfig | None = None) 
         except KeyError:
             raise TraceRuntimeError(f"id {name!r} used before allocation") from None
 
-    def _rebased(name: str, offset: int) -> int:
-        record = _record(name)
-        addr = record.obj_base + offset
-        if addr < 0 or addr > ADDRESS_MASK:
-            raise TraceRuntimeError(
-                f"offset {offset} moves {name!r} outside the 48-bit space"
-            )
-        return rebase(record.tagged, addr)
-
     for index, ev in enumerate(events):
         verdict: Verdict | None = None
         op = ev.op
-        if op in ("load", "store"):
-            offset, access_size = ev.args
-            tagged = _rebased(ev.id, offset)
-            verdict = checker.check_access(AccessRequest(tagged, access_size))
+        if op in ("load", "store", "ptr_add"):
+            # the hot path: binding lookup and range check inline; a
+            # record is always true, and _record raises for an unbound id
+            name = ev.id
+            record = bindings.get(name) or _record(name)
+            offset = ev.args[0]
+            addr = record.obj_base + offset
+            if addr >> TAG_SHIFT:    # negative, or past the 48-bit space
+                raise TraceRuntimeError(
+                    f"offset {offset} moves {name!r} outside the 48-bit space")
+            tagged = rebase(record.tagged, addr)
+            if op == "ptr_add":
+                if config.arith_checks:
+                    verdict = checker.check_arith(cursors[name], tagged)
+                cursors[name] = tagged
+            else:
+                verdict = check_access(AccessRequest(tagged, ev.args[1]))
         elif op in ("alloc", "alloc_array"):
             scope_id = len(scopes) - 1 if scopes else None
             if op == "alloc":
@@ -271,11 +275,6 @@ def run_trace(events: Sequence[TraceEvent], config: EngineConfig | None = None) 
                 sid = new_record.scope_id
                 if sid is not None:
                     scopes[sid].append(new_record)
-        elif op == "ptr_add":
-            new_tagged = _rebased(ev.id, ev.args[0])
-            if config.arith_checks:
-                verdict = checker.check_arith(cursors[ev.id], new_tagged)
-            cursors[ev.id] = new_tagged
         elif op in copy_checks:
             _record(ev.id), _record(ev.id2)
             verdict = copy_checks[op](cursors[ev.id], cursors[ev.id2], ev.args[0])
@@ -289,9 +288,10 @@ def run_trace(events: Sequence[TraceEvent], config: EngineConfig | None = None) 
             raise TraceRuntimeError(f"unknown operation {op!r}")
         if verdict is not None:
             # counted by member: a member's .value read is slow per event
-            counts[verdict.kind] += 1
+            kind = verdict.kind
+            counts[kind] += 1
             if verdict.is_violation:
-                violations.append((index, verdict.kind.value))
+                violations.append((index, kind.value))
 
     stats = arena.stats()
     header_bytes = HEADER_SIZE * stats.total_allocations

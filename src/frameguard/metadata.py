@@ -24,8 +24,9 @@ arithmetic, the entry read and their interpretation are written once.
 
 from __future__ import annotations
 
-from .frame_math import ADDRESS_MASK, slot_base
-from .tagging import MAX_BIG_TAG, MIN_BIG_TAG, TagError, decode
+from .frame_math import ADDRESS_MASK, SLOT_SIZE
+# decode is unused, kept only because perfbench/layers.py patches it here
+from .tagging import MAX_BIG_TAG, MIN_BIG_TAG, TAG_MASK, TAG_SHIFT, TagError, decode  # noqa: F401
 
 HEADER_SIZE = 16                 # bytes per header, kept 16-aligned
 DIVISION_BITS = 16
@@ -123,13 +124,14 @@ class DivisionTable:
         pointer left its wrapper frame.  Untagged values are the
         caller's job to filter; malformed tags raise TagError.
         """
-        flag, tag, addr = decode(tagged)
-        if flag:
-            return slot_base(addr) + tag
+        addr = tagged & ADDRESS_MASK
+        if tagged >> 63:
+            return (addr & -SLOT_SIZE) + ((tagged >> TAG_SHIFT) & TAG_MASK)
+        tag = tagged >> TAG_SHIFT      # the flag is clear: all 16 top bits
         if not MIN_BIG_TAG <= tag <= MAX_BIG_TAG:
             raise TagError(f"value {tagged:#x} carries no resolvable tag")
         division, slot = self.entry_index(addr, tag)
-        return self.get_entry(division, slot)
+        return self._entries.get(division * ENTRIES_PER_DIVISION + slot, 0)
 
     @property
     def reserved_bytes(self) -> int:

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 
 class VerdictKind(str, Enum):
@@ -16,12 +16,12 @@ class VerdictKind(str, Enum):
     UNTRACKED = "untracked"
 
 
-# a module-level tuple: reading VerdictKind members per call is slow
-_PASSING = (VerdictKind.OK, VerdictKind.UNTRACKED)
+# module-level names for the hot paths: a VerdictKind.X read goes
+# through the enum class and costs far more than a global read
+OK, OVERFLOW, UNDERFLOW, OUT_OF_FRAME, USE_AFTER_FREE, DOUBLE_FREE, UNTRACKED = VerdictKind
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """One check's outcome plus whatever detail was resolvable.
 
     OK passes a tracked pointer; UNTRACKED passes a plain address
@@ -36,4 +36,5 @@ class Verdict:
 
     @property
     def is_violation(self) -> bool:
-        return self.kind not in _PASSING
+        kind = self.kind
+        return kind is not OK and kind is not UNTRACKED

@@ -2,13 +2,17 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frameguard.arena import Arena, ArenaExhausted, DEFAULT_ARENA_BASE
-from frameguard.frame_math import SLOT_SIZE
-from frameguard.metadata import DivisionTable, EntryConflictError, HEADER_SIZE
-from frameguard.tagging import decode
+from frameguard.frame_math import ADDRESS_MASK, SLOT_SIZE, slot_base
+from frameguard.metadata import ArenaRangeError, DivisionTable, EntryConflictError, HEADER_SIZE
+from frameguard.tagging import (
+    FLAG_BIT, MAX_BIG_TAG, MIN_BIG_TAG, TAG_MASK, TAG_SHIFT, TagError, decode, rebase,
+)
 from frameguard.verdicts import VerdictKind
-from oracles import wrapper_frame_oracle
+from oracles import header_lookup_oracle, lookup_oracle, wrapper_frame_oracle
 
 BASE = DEFAULT_ARENA_BASE
 
@@ -306,3 +310,84 @@ def test_rejected_alloc_leaves_arena_unchanged(size, call):
         call(a)
     assert a.stats() == before
     assert a.alloc(40).id == 2
+
+
+# -- resolvers against the reference built from decode -------------------
+
+def _outcome(fn, *args):
+    """fn's result, or the type of the resolver error it raised."""
+    try:
+        return fn(*args)
+    except (TagError, ArenaRangeError) as exc:
+        return type(exc)
+
+
+def _resolve(arena, tagged):
+    """(header_lookup outcome, lookup outcome), asserted equal to the
+    reference's."""
+    table = arena.table
+    header = _outcome(table.header_lookup, tagged)
+    assert header == _outcome(header_lookup_oracle, table, tagged)
+    found = _outcome(arena.lookup, tagged)
+    assert found == _outcome(lookup_oracle, arena, tagged)
+    return header, found
+
+
+def test_resolvers_agree_with_reference_on_each_pointer_class():
+    a = small_arena()
+    small, big, freed = a.alloc(40), a.alloc(1 << 17), a.alloc(1 << 17)
+    a.free(freed.tagged)
+    next_slot = slot_base(small.obj_base) + SLOT_SIZE
+    addr = big.obj_base
+    cases = [
+        (small.tagged, small.header_addr, (None, small)),
+        (rebase(small.tagged, next_slot), next_slot + small.header_addr % SLOT_SIZE,
+         (VerdictKind.OUT_OF_FRAME, None)),               # left its slot
+        (big.tagged, big.header_addr, (None, big)),
+        (freed.tagged, 0, (None, None)),                  # vacated entry
+        (rebase(big.tagged, BASE - 1), ArenaRangeError,   # frame below the arena
+         (VerdictKind.OUT_OF_FRAME, None)),
+        (rebase(big.tagged, BASE + a.size), ArenaRangeError,  # frame beyond it
+         (VerdictKind.OUT_OF_FRAME, None)),
+        (addr, TagError, (VerdictKind.UNTRACKED, None)),  # plain addresses
+        (ADDRESS_MASK, TagError, (VerdictKind.UNTRACKED, None)),
+        ((MIN_BIG_TAG - 1) << TAG_SHIFT | addr, TagError, TagError),
+        ((MAX_BIG_TAG + 1) << TAG_SHIFT | addr, TagError, TagError),
+        (TAG_MASK << TAG_SHIFT | addr, TagError, TagError),
+    ]
+    for tagged, header, found in cases:
+        assert _resolve(a, tagged) == (header, found), hex(tagged)
+
+
+@st.composite
+def _arena_and_pointer(draw):
+    """Live and freed small- and big-framed objects, and a pointer: one
+    object's tagged pointer moved anywhere, a small or big tag over any
+    address, or a plain address."""
+    a = small_arena()
+    objects = st.tuples(st.integers(1, 1 << 18), st.booleans())
+    for size, freed in draw(st.lists(objects, min_size=1, max_size=8)):
+        r = a.alloc(size)
+        if freed:
+            a.free(r.tagged)
+    r = draw(st.sampled_from(a.records))
+    addr = draw(st.one_of(
+        st.integers(max(0, r.obj_base - (1 << 17)), r.obj_base + r.raw_size + (1 << 17)),
+        st.integers(BASE - (1 << 20), BASE + a.size + (1 << 20)),
+        st.integers(0, ADDRESS_MASK),
+        st.integers(ADDRESS_MASK >> 1, ADDRESS_MASK),   # the top address bit set
+    ))
+    form = draw(st.sampled_from(("object", "small", "big", "untagged")))
+    if form == "object":
+        return a, rebase(r.tagged, addr)
+    if form == "untagged":
+        return a, addr
+    tag = draw(st.one_of(st.integers(MIN_BIG_TAG - 2, MAX_BIG_TAG + 2),
+                         st.integers(0, TAG_MASK)))
+    return a, (FLAG_BIT if form == "small" else 0) | tag << TAG_SHIFT | addr
+
+
+@settings(deadline=None, max_examples=300)
+@given(_arena_and_pointer())
+def test_resolvers_agree_with_reference(arena_and_pointer):
+    _resolve(*arena_and_pointer)

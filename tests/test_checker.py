@@ -6,7 +6,7 @@ from frameguard.arena import Arena, DEFAULT_ARENA_BASE
 from frameguard.checker import AccessRequest, Checker
 from frameguard.metadata import ArenaRangeError
 from frameguard.tagging import encode_big, rebase, untag
-from frameguard.verdicts import VerdictKind
+from frameguard.verdicts import Verdict, VerdictKind
 
 BASE = DEFAULT_ARENA_BASE
 
@@ -299,3 +299,14 @@ def test_resolver_users_agree(case, access, free, realloc, lookup):
     verdict, new = arena.realloc(tagged, 64)
     assert verdict.kind is realloc
     assert (new is not None) == (realloc is VerdictKind.OK)
+
+
+def test_verdict_is_an_immutable_named_tuple():
+    v = Verdict(VerdictKind.OVERFLOW, 0x10, 3, "dst")
+    assert v == (VerdictKind.OVERFLOW, 0x10, 3, "dst")
+    assert Verdict(VerdictKind.OK) == (VerdictKind.OK, None, None, None)
+    with pytest.raises(AttributeError):
+        v.kind = VerdictKind.OK
+    for kind in VerdictKind:
+        passing = kind in (VerdictKind.OK, VerdictKind.UNTRACKED)
+        assert Verdict(kind).is_violation is not passing, kind

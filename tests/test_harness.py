@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from frameguard.harness import (
     EngineConfig,
     TraceEvent,
+    TraceRuntimeError,
     TraceSyntaxError,
     WorkloadParams,
     emit_report,
@@ -198,6 +199,22 @@ def test_far_big_access_is_judged_against_the_frames_live_owner():
     report = run_trace(parse_trace(text))
     assert report.violations == [(4, "underflow")]
     assert report.verdicts["ok"] == 1 and sum(report.verdicts.values()) == 2
+
+
+@pytest.mark.parametrize("op, args", [
+    ("load", (0, 1)), ("store", (0, 1)), ("ptr_add", (0,)),
+])
+def test_unbound_id_is_a_runtime_error_naming_it(op, args):
+    # parse_trace refuses such a line, so the events are built by hand
+    events = [TraceEvent("alloc", id="a", args=(40, 0)), TraceEvent(op, id="ghost", args=args)]
+    with pytest.raises(TraceRuntimeError, match="id 'ghost' used before allocation"):
+        run_trace(events)
+
+
+@pytest.mark.parametrize("offset", [-(1 << 48), 1 << 48])
+def test_offset_outside_the_address_space_is_a_runtime_error(offset):
+    with pytest.raises(TraceRuntimeError, match=f"offset {offset} moves 'a' outside"):
+        run_trace(parse_trace(f"alloc a 40\nstore a {offset} 1\n"))
 
 
 def test_realloc_trace_rebinds():
