@@ -19,7 +19,9 @@ and each integer field's bounds are stated there and nowhere else.
     scope_end
 
 Offsets are relative to the object base and may be negative or past the
-end; probing such addresses is the point.  Integers accept 0x prefixes.
+end; probing such addresses is the point.  Integers follow `int(tok, 0)`:
+0x/0o/0b prefixes and underscores are accepted, a nonzero decimal with
+a leading zero (010) is not.
 An alloc or realloc size, an alloc_array's count * elem_size and a
 type id must fit 32 bits.
 Ids must be introduced by alloc or alloc_array before any other use.
@@ -29,6 +31,10 @@ copy/string events consume that cursor, so arithmetic sequences can be
 expressed.  Allocations inside scope_begin/scope_end belong to the
 innermost open scope and are released at its scope_end, the way frame
 entries of non-static locals are vacated in a function epilogue.
+
+Each line parses to a `TraceEvent` named tuple (op, id, id2, args)
+whose op is the `_GRAMMAR` key and whose ids are the strings of their
+defining allocs, so a long trace holds each name once.
 """
 
 from __future__ import annotations
@@ -37,12 +43,13 @@ import json
 import math
 import random
 from dataclasses import asdict, dataclass
+from itertools import repeat
 from typing import Iterable, NamedTuple, Sequence
 
 from .arena import DEFAULT_ARENA_BASE, DEFAULT_ARENA_SIZE, Arena
 from .checker import AccessRequest, Checker
 from .metadata import HEADER_SIZE, _U32_MAX
-from .tagging import TAG_SHIFT, rebase
+from .tagging import TagError, rebase
 from .verdicts import Verdict, VerdictKind
 
 MAX_WORKLOAD_OBJECT_SIZE = 1 << 20
@@ -56,8 +63,7 @@ class TraceSyntaxError(ValueError):
         self.line_no = line_no
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     op: str
     id: str = ""
     id2: str = ""
@@ -126,53 +132,104 @@ _GRAMMAR = {
 }
 
 
+def _compile(op: str, spec: _Op) -> tuple:
+    """parse_trace's row for one op: (op, ids, token count, token count
+    without the optional field or -1, (field index, lowest, highest or
+    None) for each bounded field, defines, scope)."""
+    n_ids, fields, optional, defines, scope = spec
+    size = 1 + n_ids + len(fields)
+    # int() of an infinite lowest fails here, at import: every bounded
+    # field has a finite lowest
+    bounds = tuple((i, int(lo), None if hi == math.inf else int(hi))
+                   for i, (_, lo, hi) in enumerate(fields) if (lo, hi) != (-math.inf, math.inf))
+    return op, n_ids, size, size - 1 if optional else -1, bounds, defines, scope
+
+
+_ROWS = {op: _compile(op, spec) for op, spec in _GRAMMAR.items()}
+
+
+def _line_error(line_no: int, toks: list[str], defined: dict[str, str],
+                depth: int) -> TraceSyntaxError:
+    """Why parse_trace refused a line: `_GRAMMAR`'s checks, in order,
+    against the ids defined and the scope depth before it."""
+    op = toks[0]
+    spec = _GRAMMAR.get(op)
+    if spec is None:
+        return TraceSyntaxError(line_no, f"unknown operation {op!r}")
+    n_ids, fields, optional, defines, scope = spec
+    most = n_ids + len(fields)
+    missing = most + 1 - len(toks)
+    if not 0 <= missing <= optional:
+        return TraceSyntaxError(
+            line_no, f"{op} takes {most - optional}..{most} arguments, got {len(toks) - 1}")
+    if not defines:
+        for name in toks[1:n_ids + 1]:
+            if name not in defined:
+                return TraceSyntaxError(line_no, f"undefined id {name!r}")
+    nums = []
+    for tok, (field, lo, hi) in zip(toks[n_ids + 1:], fields):
+        try:
+            n = int(tok, 0)
+        except ValueError:
+            return TraceSyntaxError(line_no, f"{field} {tok!r} is not an integer")
+        if not lo <= n <= hi:
+            return TraceSyntaxError(line_no, f"{field} {tok} outside [{lo}, {hi}]")
+        nums.append(n)
+    if op == "alloc_array" and nums[0] * nums[1] > _U32_MAX:
+        # the product is the header's 32-bit size field
+        return TraceSyntaxError(
+            line_no, f"count * elem_size {nums[0] * nums[1]} outside [1, {_U32_MAX}]")
+    # parse_trace refuses nothing else
+    return TraceSyntaxError(line_no, "scope_end without matching scope_begin")
+
+
 def parse_trace(source: str | Iterable[str]) -> list[TraceEvent]:
-    """Parse trace text into events; every check on a line comes from `_GRAMMAR`."""
+    """Parse trace text into events in one pass over `_ROWS`."""
     lines = source.splitlines() if isinstance(source, str) else source
     events: list[TraceEvent] = []
-    defined: set[str] = set()
-    scope_depth = 0
-    for line_no, raw_line in enumerate(lines, start=1):
-        line = raw_line.split("#", 1)[0].strip()
-        if not line:
-            continue
+    append = events.append
+    defined: dict[str, str] = {}
+    known = defined.setdefault
+    rows = _ROWS
+    new = tuple.__new__
+    zeros = repeat(0)
+    depth = 0
+    for line_no, line in enumerate(lines, start=1):
+        if "#" in line:
+            line = line.split("#", 1)[0]
         toks = line.split()
-        op = toks[0]
-        spec = _GRAMMAR.get(op)
-        if spec is None:
-            raise TraceSyntaxError(line_no, f"unknown operation {op!r}")
-        n_ids, fields, optional, defines, scope = spec
-        most = n_ids + len(fields)
-        missing = most + 1 - len(toks)
-        if not 0 <= missing <= optional:
-            raise TraceSyntaxError(
-                line_no, f"{op} takes {most - optional}..{most} arguments, got {len(toks) - 1}")
-        names = toks[1:n_ids + 1]
-        if defines:
-            defined.add(names[0])
-        else:
-            for name in names:
-                if name not in defined:
-                    raise TraceSyntaxError(line_no, f"undefined id {name!r}")
-        nums = []
-        for tok, (field, lo, hi) in zip(toks[n_ids + 1:], fields):
-            try:
-                n = int(tok, 0)
-            except ValueError:
-                raise TraceSyntaxError(line_no, f"{field} {tok!r} is not an integer") from None
-            if not lo <= n <= hi:
-                raise TraceSyntaxError(line_no, f"{field} {tok} outside [{lo}, {hi}]")
-            nums.append(n)
-        if missing:
-            nums.append(0)
-        if op == "alloc_array" and nums[0] * nums[1] > _U32_MAX:
-            # the product is the header's 32-bit size field
-            raise TraceSyntaxError(
-                line_no, f"count * elem_size {nums[0] * nums[1]} outside [1, {_U32_MAX}]")
-        scope_depth += scope
-        if scope_depth < 0:
-            raise TraceSyntaxError(line_no, "scope_end without matching scope_begin")
-        events.append(TraceEvent(op, *names, args=tuple(nums)))
+        if not toks:
+            continue
+        try:    # a refused line raises KeyError or ValueError; _line_error says why
+            op, n_ids, size, short, bounds, defines, scope = rows[toks[0]]
+            n = len(toks)
+            if n != size and n != short:
+                raise ValueError
+            args = tuple(map(int, toks[n_ids + 1:], zeros))
+            if n == short:
+                args += (0,)
+            for i, lo, hi in bounds:
+                v = args[i]
+                if v < lo or hi is not None and v > hi:
+                    raise ValueError
+            if n_ids == 1:
+                name = toks[1]
+                if defines:
+                    name = known(name, name)
+                    if op == "alloc_array" and args[0] * args[1] > _U32_MAX:
+                        raise ValueError
+                else:
+                    name = defined[name]
+                append(new(TraceEvent, (op, name, "", args)))
+            elif n_ids:
+                append(new(TraceEvent, (op, defined[toks[1]], defined[toks[2]], args)))
+            else:
+                if depth + scope < 0:
+                    raise ValueError
+                depth += scope
+                append(new(TraceEvent, (op, "", "", args)))
+        except (KeyError, ValueError):
+            raise _line_error(line_no, toks, defined, depth) from None
     return events
 
 
@@ -238,16 +295,16 @@ def run_trace(events: Sequence[TraceEvent], config: EngineConfig | None = None) 
         verdict: Verdict | None = None
         op = ev.op
         if op in ("load", "store", "ptr_add"):
-            # the hot path: binding lookup and range check inline; a
-            # record is always true, and _record raises for an unbound id
+            # the hot path: binding lookup inline (a record is always
+            # true, and _record raises for an unbound id)
             name = ev.id
             record = bindings.get(name) or _record(name)
             offset = ev.args[0]
-            addr = record.obj_base + offset
-            if addr >> TAG_SHIFT:    # negative, or past the 48-bit space
+            try:    # rebase is the one range check of the address
+                tagged = rebase(record.tagged, record.obj_base + offset)
+            except TagError:
                 raise TraceRuntimeError(
-                    f"offset {offset} moves {name!r} outside the 48-bit space")
-            tagged = rebase(record.tagged, addr)
+                    f"offset {offset} moves {name!r} outside the 48-bit space") from None
             if op == "ptr_add":
                 if config.arith_checks:
                     verdict = checker.check_arith(cursors[name], tagged)

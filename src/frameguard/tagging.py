@@ -76,5 +76,6 @@ def rebase(p: int, new_addr: int) -> int:
     In-slot or in-frame movement never requires a tag update; that is
     the point of the encoding.
     """
-    _check_address(new_addr, "address")
+    if new_addr >> TAG_SHIFT:    # negative, or past the 48-bit space
+        raise TagError(f"address {new_addr:#x} outside the 48-bit space")
     return (p & ~ADDRESS_MASK) | new_addr

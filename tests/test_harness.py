@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frameguard.harness import (
+    _GRAMMAR,
     EngineConfig,
     TraceEvent,
     TraceRuntimeError,
@@ -94,6 +95,73 @@ def test_parse_rejects_out_of_range_32bit_fields(text, line_no):
     assert e.value.line_no == line_no and f"line {line_no}:" in str(e.value)
 
 
+_A = "alloc a 8\n"
+
+# Every message parse_trace raises, byte for byte, with its line number.
+_SYNTAX_ERRORS = [
+    # unknown op
+    ("bogus a 1\n", "line 1: unknown operation 'bogus'"),
+    ("Alloc a 8\n", "line 1: unknown operation 'Alloc'"),
+    # argument counts
+    ("alloc\n", "line 1: alloc takes 2..3 arguments, got 0"),
+    ("alloc a\n", "line 1: alloc takes 2..3 arguments, got 1"),
+    ("alloc a 40 1 2\n", "line 1: alloc takes 2..3 arguments, got 4"),
+    (_A + "load a 0\n", "line 2: load takes 3..3 arguments, got 2"),
+    (_A + "store a 0 1 2\n", "line 2: store takes 3..3 arguments, got 4"),
+    (_A + "ptr_add a 1 2\n", "line 2: ptr_add takes 2..2 arguments, got 3"),
+    (_A + "free\n", "line 2: free takes 1..1 arguments, got 0"),
+    (_A + "memcpy a\n", "line 2: memcpy takes 3..3 arguments, got 1"),
+    ("scope_begin x\n", "line 1: scope_begin takes 0..0 arguments, got 1"),
+    # undefined ids, first and second, checked before any field
+    ("load b 0 1\n", "line 1: undefined id 'b'"),
+    ("load b x 1\n", "line 1: undefined id 'b'"),
+    (_A + "ptr_add b 1\n", "line 2: undefined id 'b'"),
+    (_A + "memcpy b a 8\n", "line 2: undefined id 'b'"),
+    (_A + "memcpy a b 8\n", "line 2: undefined id 'b'"),
+    (_A + "memcpy a b x\n", "line 2: undefined id 'b'"),
+    # non-integer fields
+    ("alloc a forty\n", "line 1: size 'forty' is not an integer"),
+    ("alloc a 010\n", "line 1: size '010' is not an integer"),
+    (_A + "load a 1.5 1\n", "line 2: offset '1.5' is not an integer"),
+    (_A + "store a 0 four\n", "line 2: access_size 'four' is not an integer"),
+    # each bounded field out of range
+    ("alloc a 0\n", "line 1: size 0 outside [1, 4294967295]"),
+    ("alloc a 0x100000000\n", "line 1: size 0x100000000 outside [1, 4294967295]"),
+    ("alloc a 8 -1\n", "line 1: type_id -1 outside [0, 4294967295]"),
+    ("alloc a 8 4294967296\n", "line 1: type_id 4294967296 outside [0, 4294967295]"),
+    ("alloc_array a 0 4\n", "line 1: count 0 outside [1, inf]"),
+    ("alloc_array a 4 0\n", "line 1: elem_size 0 outside [1, inf]"),
+    (_A + "realloc a 0\n", "line 2: new_size 0 outside [1, 4294967295]"),
+    (_A + "realloc a 4294967296\n", "line 2: new_size 4294967296 outside [1, 4294967295]"),
+    (_A + "load a 0 0\n", "line 2: access_size 0 outside [1, inf]"),
+    (_A + "store a -1 0\n", "line 2: access_size 0 outside [1, inf]"),
+    (_A + "memcpy a a -1\n", "line 2: n -1 outside [0, inf]"),
+    (_A + "strcpy a a -1\n", "line 2: srclen -1 outside [0, inf]"),
+    (_A + "strncpy a a -1\n", "line 2: n -1 outside [0, inf]"),
+    # fields are checked in order, each fully before the next
+    ("alloc a 0 x\n", "line 1: size 0 outside [1, 4294967295]"),
+    ("alloc_array a x 0\n", "line 1: count 'x' is not an integer"),
+    ("alloc_array a 0 x\n", "line 1: count 0 outside [1, inf]"),
+    # the alloc_array product is a 32-bit header size
+    ("alloc_array a 70000 70000\n", "line 1: count * elem_size 4900000000 outside [1, 4294967295]"),
+    ("alloc_array b 65536 65536\n", "line 1: count * elem_size 4294967296 outside [1, 4294967295]"),
+    # scopes
+    ("scope_end\n", "line 1: scope_end without matching scope_begin"),
+    ("scope_begin\nscope_end\nscope_end\n", "line 3: scope_end without matching scope_begin"),
+    # comment and blank lines count
+    ("# header\n\nalloc a 8  # c\n\tload a 0 0\n", "line 4: access_size 0 outside [1, inf]"),
+    (["alloc a 8\n", "# c\n", "load a 0 0\r\n"], "line 3: access_size 0 outside [1, inf]"),
+]
+
+
+@pytest.mark.parametrize("source, message", _SYNTAX_ERRORS)
+def test_syntax_error_messages_are_pinned(source, message):
+    with pytest.raises(TraceSyntaxError) as e:
+        parse_trace(source)
+    assert str(e.value) == message
+    assert f"line {e.value.line_no}: " == message[:message.index(":") + 2]
+
+
 def test_parse_accepts_alloc_array_filling_32_bits():
     # 65535 * 65537 == 2**32 - 1, the largest size a header holds
     assert parse_trace("alloc_array a 65535 65537\n") == [
@@ -154,12 +222,76 @@ def test_format_parse_round_trip_over_every_op(events):
     assert format_trace(parse_trace(text)) == text
 
 
+_spacing = st.sampled_from([" ", "\t", "  ", " \t"])
+
+
+@st.composite
+def _decorated(draw, events):
+    """events' trace text with comment-only and blank lines, inline
+    comments, tabs, trailing blanks, CRLF endings and each integer in
+    a form int(tok, 0) reads: decimal, 0x, 0o, 0b or underscore-grouped."""
+    lines = []
+    for ev, line in zip(events, format_trace(events).splitlines()):
+        toks = line.split()
+        n_ids = 1 + bool(ev.id) + bool(ev.id2)
+        for i in range(n_ids, len(toks)):
+            n = int(toks[i])
+            toks[i] = draw(st.sampled_from([str(n), hex(n), oct(n), bin(n), f"{n:_}"]))
+        text = draw(st.sampled_from(["", " ", "\t"])) + draw(_spacing).join(toks)
+        text += draw(st.sampled_from(["", " ", "\t", "  # note", "\t#x # y", "#"]))
+        while draw(st.integers(0, 3)) == 0:
+            lines.append(draw(st.sampled_from(["", "  ", "# comment", "\t# alloc a 1", "#"])))
+        lines.append(text)
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    return ending.join(lines) + draw(st.sampled_from(["", ending]))
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_parse_ignores_layout_comments_and_line_endings(data):
+    events = data.draw(_traces())
+    text = data.draw(_decorated(events))
+    assert parse_trace(text) == events
+    assert parse_trace(text.splitlines(keepends=True)) == events
+
+
 def test_format_round_trip():
     params = WorkloadParams(objects=40, accesses_per_object=3, fault_rate=0.2,
                             fault_kinds=("overflow", "underflow", "double_free"),
                             array_fraction=0.3, free_fraction=0.2)
     events, _ = gen_workload(3, params)
     assert parse_trace(format_trace(events)) == events
+
+
+def test_events_share_op_and_id_strings():
+    text = "alloc buf_1 64\nalloc dst_2 8\nstore buf_1 0 4\nmemcpy dst_2 buf_1 8\nfree buf_1\n"
+    events = parse_trace(text)
+    keys = {op: op for op in _GRAMMAR}
+    assert all(ev.op is keys[ev.op] for ev in events)
+    buf, dst = events[0].id, events[1].id
+    assert events[2].id is buf and events[4].id is buf
+    assert events[3].id is dst and events[3].id2 is buf
+
+
+def test_parsed_events_retain_few_bytes_each():
+    # a small_hot-shaped trace: small objects, 32 accesses each
+    params = WorkloadParams(objects=200, size_dist="uniform:8:512", accesses_per_object=32,
+                            fault_rate=0.02, edge_probe=True)
+    events, _ = gen_workload(7, params)
+    text = format_trace(events)
+    del events
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        events = parse_trace(text)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # about 150 B: the list slot, the event, its args tuple and any
+    # int past the small-int cache
+    assert retained / len(events) < 200
 
 
 # -- execution ---------------------------------------------------------
