@@ -16,7 +16,6 @@ from typing import NamedTuple
 
 ADDRESS_BITS = 48
 ADDRESS_MASK = (1 << ADDRESS_BITS) - 1
-MAX_FRAME_LOG = 63
 SLOT_BITS = 15              # slots are 15-frames
 SLOT_SIZE = 1 << SLOT_BITS
 
@@ -28,7 +27,7 @@ class RegionError(ValueError):
 class WrapperFrame(NamedTuple):
     """Smallest size-aligned power-of-two block containing a region."""
 
-    n: int        # log2 of the frame size, in [0, 63]
+    n: int        # log2 of the frame size, in [0, 48]
     base: int     # frame base address, aligned by 2**n
 
     @property
@@ -58,9 +57,3 @@ def slot_base(addr: int) -> int:
     """Base of the 2**15-byte slot containing addr (addr untagged)."""
     return addr & ~(SLOT_SIZE - 1)
 
-
-def in_frame(p: int, q: int, n: int) -> bool:
-    """True iff untagged addresses p and q lie in the same n-frame."""
-    if not 0 <= n <= MAX_FRAME_LOG:
-        raise ValueError(f"frame log {n} outside [0, {MAX_FRAME_LOG}]")
-    return (p ^ q) >> n == 0

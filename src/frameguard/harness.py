@@ -2,7 +2,10 @@
 arena and checker, and report verdicts and space overhead.
 
 Trace grammar, one event per line, whitespace separated, `#` starts a
-comment.  `_GRAMMAR` below is its source of truth: each op's id count
+comment.  A line ends only at LF, CRLF or CR, as in a text-mode file;
+any other Unicode line separator (form feed, vertical tab, U+001C to
+U+001E, U+0085, U+2028, U+2029) is whitespace and never ends a comment.
+`_GRAMMAR` below is the grammar's source of truth: each op's id count
 and each integer field's bounds are stated there and nowhere else.
 
     alloc <id> <size> [type_id]
@@ -39,11 +42,11 @@ defining allocs, so a long trace holds each name once.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import random
 from dataclasses import asdict, dataclass
-from itertools import repeat
 from typing import Iterable, NamedTuple, Sequence
 
 from .arena import DEFAULT_ARENA_BASE, DEFAULT_ARENA_SIZE, Arena
@@ -133,66 +136,32 @@ _GRAMMAR = {
 
 
 def _compile(op: str, spec: _Op) -> tuple:
-    """parse_trace's row for one op: (op, ids, token count, token count
-    without the optional field or -1, (field index, lowest, highest or
-    None) for each bounded field, defines, scope)."""
+    """parse_trace's row for one op: (op, ids, fewest and most tokens,
+    (token index, name, lowest, highest, each bound as int or None if
+    infinite) for each field, defines, scope)."""
     n_ids, fields, optional, defines, scope = spec
-    size = 1 + n_ids + len(fields)
-    # int() of an infinite lowest fails here, at import: every bounded
-    # field has a finite lowest
-    bounds = tuple((i, int(lo), None if hi == math.inf else int(hi))
-                   for i, (_, lo, hi) in enumerate(fields) if (lo, hi) != (-math.inf, math.inf))
-    return op, n_ids, size, size - 1 if optional else -1, bounds, defines, scope
+    most = 1 + n_ids + len(fields)
+    checks = tuple((i, name, lo, hi, None if lo == -math.inf else lo, None if hi == math.inf else hi)
+                   for i, (name, lo, hi) in enumerate(fields, start=1 + n_ids))
+    return op, n_ids, most - optional, most, checks, defines, scope
 
 
 _ROWS = {op: _compile(op, spec) for op, spec in _GRAMMAR.items()}
 
 
-def _line_error(line_no: int, toks: list[str], defined: dict[str, str],
-                depth: int) -> TraceSyntaxError:
-    """Why parse_trace refused a line: `_GRAMMAR`'s checks, in order,
-    against the ids defined and the scope depth before it."""
-    op = toks[0]
-    spec = _GRAMMAR.get(op)
-    if spec is None:
-        return TraceSyntaxError(line_no, f"unknown operation {op!r}")
-    n_ids, fields, optional, defines, scope = spec
-    most = n_ids + len(fields)
-    missing = most + 1 - len(toks)
-    if not 0 <= missing <= optional:
-        return TraceSyntaxError(
-            line_no, f"{op} takes {most - optional}..{most} arguments, got {len(toks) - 1}")
-    if not defines:
-        for name in toks[1:n_ids + 1]:
-            if name not in defined:
-                return TraceSyntaxError(line_no, f"undefined id {name!r}")
-    nums = []
-    for tok, (field, lo, hi) in zip(toks[n_ids + 1:], fields):
-        try:
-            n = int(tok, 0)
-        except ValueError:
-            return TraceSyntaxError(line_no, f"{field} {tok!r} is not an integer")
-        if not lo <= n <= hi:
-            return TraceSyntaxError(line_no, f"{field} {tok} outside [{lo}, {hi}]")
-        nums.append(n)
-    if op == "alloc_array" and nums[0] * nums[1] > _U32_MAX:
-        # the product is the header's 32-bit size field
-        return TraceSyntaxError(
-            line_no, f"count * elem_size {nums[0] * nums[1]} outside [1, {_U32_MAX}]")
-    # parse_trace refuses nothing else
-    return TraceSyntaxError(line_no, "scope_end without matching scope_begin")
-
-
 def parse_trace(source: str | Iterable[str]) -> list[TraceEvent]:
-    """Parse trace text into events in one pass over `_ROWS`."""
-    lines = source.splitlines() if isinstance(source, str) else source
+    """Parse trace text into events, each line checked once against
+    `_ROWS`.  A refused line raises TraceSyntaxError at its first failed
+    check, in this order: the op, the argument count, each used id, each
+    field (an integer, then in bounds), the alloc_array product and the
+    scope depth.  A str is split into lines the way a text file is."""
+    lines = io.StringIO(source, newline=None) if isinstance(source, str) else source
     events: list[TraceEvent] = []
     append = events.append
     defined: dict[str, str] = {}
     known = defined.setdefault
     rows = _ROWS
     new = tuple.__new__
-    zeros = repeat(0)
     depth = 0
     for line_no, line in enumerate(lines, start=1):
         if "#" in line:
@@ -200,36 +169,45 @@ def parse_trace(source: str | Iterable[str]) -> list[TraceEvent]:
         toks = line.split()
         if not toks:
             continue
-        try:    # a refused line raises KeyError or ValueError; _line_error says why
-            op, n_ids, size, short, bounds, defines, scope = rows[toks[0]]
-            n = len(toks)
-            if n != size and n != short:
-                raise ValueError
-            args = tuple(map(int, toks[n_ids + 1:], zeros))
-            if n == short:
-                args += (0,)
-            for i, lo, hi in bounds:
-                v = args[i]
-                if v < lo or hi is not None and v > hi:
-                    raise ValueError
-            if n_ids == 1:
-                name = toks[1]
-                if defines:
-                    name = known(name, name)
-                    if op == "alloc_array" and args[0] * args[1] > _U32_MAX:
-                        raise ValueError
-                else:
-                    name = defined[name]
-                append(new(TraceEvent, (op, name, "", args)))
-            elif n_ids:
-                append(new(TraceEvent, (op, defined[toks[1]], defined[toks[2]], args)))
+        try:
+            op, n_ids, fewest, most, fields, defines, scope = rows[toks[0]]
+        except KeyError:
+            raise TraceSyntaxError(line_no, f"unknown operation {toks[0]!r}") from None
+        n = len(toks)
+        if n != most:
+            if n != fewest:
+                raise TraceSyntaxError(
+                    line_no, f"{op} takes {fewest - 1}..{most - 1} arguments, got {n - 1}")
+            toks.append("0")    # the optional field, left off, reads as 0
+        try:
+            if not n_ids:
+                name = name2 = ""
+            elif defines:
+                name = known(toks[1], toks[1])
+                name2 = ""
             else:
-                if depth + scope < 0:
-                    raise ValueError
-                depth += scope
-                append(new(TraceEvent, (op, "", "", args)))
-        except (KeyError, ValueError):
-            raise _line_error(line_no, toks, defined, depth) from None
+                name = defined[toks[1]]
+                name2 = defined[toks[2]] if n_ids == 2 else ""
+        except KeyError as e:
+            raise TraceSyntaxError(line_no, f"undefined id {e.args[0]!r}") from None
+        args = ()
+        for i, field, lo, hi, low, high in fields:
+            tok = toks[i]
+            try:
+                v = int(tok, 0)
+            except ValueError:
+                raise TraceSyntaxError(line_no, f"{field} {tok!r} is not an integer") from None
+            if low is not None and v < low or high is not None and v > high:
+                raise TraceSyntaxError(line_no, f"{field} {tok} outside [{lo}, {hi}]")
+            args += (v,)
+        # the product is the header's 32-bit size field
+        if op == "alloc_array" and args[0] * args[1] > _U32_MAX:
+            raise TraceSyntaxError(
+                line_no, f"count * elem_size {args[0] * args[1]} outside [1, {_U32_MAX}]")
+        depth += scope
+        if depth < 0:
+            raise TraceSyntaxError(line_no, "scope_end without matching scope_begin")
+        append(new(TraceEvent, (op, name, name2, args)))
     return events
 
 

@@ -65,11 +65,6 @@ def decode(p: int) -> tuple[int, int, int]:
     return p >> 63, (p >> TAG_SHIFT) & TAG_MASK, p & ADDRESS_MASK
 
 
-def is_untagged(p: int) -> bool:
-    """True for plain untracked addresses (no flag, no tag)."""
-    return p >> TAG_SHIFT == 0
-
-
 def rebase(p: int, new_addr: int) -> int:
     """Move the address field of p, keeping flag and tag intact.
 

@@ -4,10 +4,25 @@ Each one is deliberately naive and must stay independent of the code it
 cross-checks.
 """
 
-from frameguard.frame_math import ADDRESS_MASK, MAX_FRAME_LOG, RegionError, slot_base
-from frameguard.metadata import ArenaRangeError
-from frameguard.tagging import MAX_BIG_TAG, MIN_BIG_TAG, TagError, decode, is_untagged
+from frameguard.frame_math import ADDRESS_MASK, RegionError, slot_base
+from frameguard.harness import _GRAMMAR
+from frameguard.metadata import _U32_MAX, ArenaRangeError
+from frameguard.tagging import MAX_BIG_TAG, MIN_BIG_TAG, TAG_SHIFT, TagError, decode
 from frameguard.verdicts import VerdictKind
+
+MAX_FRAME_LOG = 63
+
+
+def in_frame(p: int, q: int, n: int) -> bool:
+    """True iff untagged addresses p and q lie in the same n-frame."""
+    if not 0 <= n <= MAX_FRAME_LOG:
+        raise ValueError(f"frame log {n} outside [0, {MAX_FRAME_LOG}]")
+    return (p ^ q) >> n == 0
+
+
+def is_untagged(p: int) -> bool:
+    """True for plain untracked addresses (no flag, no tag)."""
+    return p >> TAG_SHIFT == 0
 
 
 def wrapper_frame_oracle(lo: int, hi: int) -> int:
@@ -53,3 +68,60 @@ def lookup_oracle(arena, tagged: int):
     if record is None and decode(tagged)[0]:
         return VerdictKind.OUT_OF_FRAME, None
     return None, record
+
+
+def _line_refusal(toks: list[str], defined: set[str], depth: int) -> str | None:
+    """Why parse_trace refuses a line, given the ids defined and the
+    scope depth before it, or None if it does not."""
+    op = toks[0]
+    spec = _GRAMMAR.get(op)
+    if spec is None:
+        return f"unknown operation {op!r}"
+    n_ids, fields, optional, defines, scope = spec
+    most = n_ids + len(fields)
+    missing = most + 1 - len(toks)
+    if not 0 <= missing <= optional:
+        return f"{op} takes {most - optional}..{most} arguments, got {len(toks) - 1}"
+    if not defines:
+        for name in toks[1:n_ids + 1]:
+            if name not in defined:
+                return f"undefined id {name!r}"
+    nums = []
+    for tok, (field, lo, hi) in zip(toks[n_ids + 1:], fields):
+        try:
+            n = int(tok, 0)
+        except ValueError:
+            return f"{field} {tok!r} is not an integer"
+        if not lo <= n <= hi:
+            return f"{field} {tok} outside [{lo}, {hi}]"
+        nums.append(n)
+    if op == "alloc_array" and nums[0] * nums[1] > _U32_MAX:
+        return f"count * elem_size {nums[0] * nums[1]} outside [1, {_U32_MAX}]"
+    if depth + scope < 0:
+        return "scope_end without matching scope_begin"
+    return None
+
+
+def trace_refusal_oracle(lines) -> tuple[int, str] | None:
+    """Reference parse_trace refusal: (line number, reason) of the first
+    line it refuses, or None.
+
+    It shares only `_GRAMMAR`, the grammar's one statement, with
+    parse_trace, and checks a line at a time in a fixed order: the op,
+    the argument count, each used id, each field (an integer, then in
+    bounds), the alloc_array product and the scope depth.
+    """
+    defined: set[str] = set()
+    depth = 0
+    for line_no, line in enumerate(lines, start=1):
+        toks = line.split("#", 1)[0].split()
+        if not toks:
+            continue
+        reason = _line_refusal(toks, defined, depth)
+        if reason is not None:
+            return line_no, reason
+        spec = _GRAMMAR[toks[0]]
+        if spec.defines:
+            defined.add(toks[1])
+        depth += spec.scope
+    return None

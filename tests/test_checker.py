@@ -1,12 +1,17 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frameguard.arena import Arena, DEFAULT_ARENA_BASE
 from frameguard.checker import AccessRequest, Checker
+from frameguard.frame_math import ADDRESS_MASK, SLOT_BITS
 from frameguard.metadata import ArenaRangeError
-from frameguard.tagging import encode_big, rebase, untag
+from frameguard.tagging import (
+    FLAG_BIT, MAX_BIG_TAG, MIN_BIG_TAG, TAG_MASK, TAG_SHIFT, decode, encode_big, rebase, untag)
 from frameguard.verdicts import Verdict, VerdictKind
+from oracles import in_frame, is_untagged
 
 BASE = DEFAULT_ARENA_BASE
 
@@ -147,6 +152,44 @@ def test_arith_big_framed_uses_tagged_n():
 def test_arith_untracked_passthrough():
     _, ck = setup()
     assert ck.check_arith(0x1000, 0x2000).kind is VerdictKind.UNTRACKED
+
+
+_addresses = st.integers(0, ADDRESS_MASK)
+
+
+@st.composite
+def _arith_steps(draw):
+    """(old, new): old a plain, small-framed or big-framed pointer; new
+    any 64-bit value, or old's address with one bit flipped (often the
+    frame's top bit or the one above it) and nudged by up to 2, under
+    any top bits, so both in-frame outcomes occur."""
+    n = draw(st.sampled_from([0, SLOT_BITS, draw(st.integers(MIN_BIG_TAG, MAX_BIG_TAG))]))
+    if n == SLOT_BITS:
+        old = FLAG_BIT | draw(st.integers(0, TAG_MASK)) << TAG_SHIFT
+    else:
+        old = n << TAG_SHIFT
+    old |= draw(_addresses)
+    if draw(st.booleans()):
+        return old, draw(st.integers(0, (1 << 64) - 1))
+    bit = draw(st.integers(max(n - 1, 0), min(n, 47)) | st.integers(0, 47))
+    flipped = (old ^ 1 << bit) + draw(st.integers(-2, 2))
+    return old, draw(st.integers(0, 0xFFFF)) << TAG_SHIFT | flipped & ADDRESS_MASK
+
+
+@settings(max_examples=400, deadline=None)
+@given(_arith_steps())
+def test_check_arith_agrees_with_in_frame(step):
+    old, new = step
+    _, ck = setup()
+    new_addr = new & ADDRESS_MASK
+    if is_untagged(old):
+        expected = VerdictKind.UNTRACKED
+    else:
+        flag, tag, _ = decode(old)
+        n = SLOT_BITS if flag else tag
+        in_same = in_frame(old & ADDRESS_MASK, new_addr, n)
+        expected = VerdictKind.OK if in_same else VerdictKind.OUT_OF_FRAME
+    assert ck.check_arith(old, new) == Verdict(expected, new_addr)
 
 
 def test_loop_idiom_pointer_into_padding():

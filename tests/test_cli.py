@@ -73,6 +73,15 @@ def test_run_reads_stdin(tmp_path, capsys, monkeypatch):
     assert "ok=1" in capsys.readouterr().out
 
 
+def test_form_feed_in_stdin_does_not_shift_line_numbers(capsys, monkeypatch):
+    import io
+
+    stdin = io.TextIOWrapper(io.BytesIO(b"alloc a 10\f\nload zz 0 1\n"), encoding="utf-8")
+    monkeypatch.setattr(sys, "stdin", stdin)
+    assert main(["run", "-"]) == 2
+    assert capsys.readouterr().err == "frameguard: line 2: undefined id 'zz'\n"
+
+
 def test_module_entry_point(tmp_path):
     trace = tmp_path / "t.txt"
     trace.write_text("alloc a 40\nstore a 36 4\n")

@@ -1,4 +1,6 @@
 import gc
+import io
+import math
 import tracemalloc
 
 import pytest
@@ -18,6 +20,7 @@ from frameguard.harness import (
     parse_trace,
     run_trace,
 )
+from oracles import trace_refusal_oracle
 
 
 # -- parsing -----------------------------------------------------------
@@ -253,6 +256,117 @@ def test_parse_ignores_layout_comments_and_line_endings(data):
     text = data.draw(_decorated(events))
     assert parse_trace(text) == events
     assert parse_trace(text.splitlines(keepends=True)) == events
+
+
+_SEPARATORS = "\f\v\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+def test_str_lines_end_only_at_newlines():
+    # a form feed is whitespace: the second line is line 2, not line 3
+    with pytest.raises(TraceSyntaxError) as e:
+        parse_trace("alloc a 10\f\nload zz 0 1\n")
+    assert str(e.value) == "line 2: undefined id 'zz'" and e.value.line_no == 2
+    # a Unicode line separator does not end a comment
+    alloc = [TraceEvent("alloc", id="a", args=(10, 0))]
+    assert parse_trace("alloc a 10 # note\u2028 more\n") == alloc
+    assert parse_trace("alloc a 10 # note\u2028 free a\n") == alloc
+    # outside a comment every other separator is whitespace
+    assert parse_trace("".join(f"alloc{sep}a 10{sep}\n" for sep in _SEPARATORS)) == alloc * 8
+    # \n, \r\n and \r end lines, as in a text file
+    assert parse_trace("scope_begin\rscope_end\r\nscope_begin\nscope_end") == [
+        TraceEvent("scope_begin"), TraceEvent("scope_end")] * 2
+
+
+def _outcome(source):
+    try:
+        return parse_trace(source)
+    except TraceSyntaxError as e:
+        return e.line_no, str(e)
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_str_splits_into_lines_like_a_text_file(data):
+    events = data.draw(_traces())
+    chars = list(data.draw(_decorated(events)))
+    for _ in range(data.draw(st.integers(1, 8))):
+        sep = data.draw(st.sampled_from(_SEPARATORS + "\r\n"))
+        chars.insert(data.draw(st.integers(0, len(chars))), sep)
+    text = "".join(chars)
+    expected = _outcome(io.StringIO(text, newline=None))
+    assert _outcome(text) == expected
+    text_file = io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8", newline=None)
+    assert _outcome(text_file) == expected
+
+
+_BAD_OPS = ["bogus", "Alloc", "load_", "free2", "scope"]
+_NOT_INTS = ["x", "1.5", "010", "0x", "four", "1__0", "0b2"]
+
+
+@st.composite
+def _broken_lines(draw):
+    """A valid trace's lines with one line broken: an oversized
+    alloc_array or a scope_end (maybe with no scope open) inserted, a
+    line given one or two faults, or both.  The faults are a wrong op,
+    an undefined id, a non-integer or out-of-range field, and a dropped
+    or extra token."""
+    lines = format_trace(draw(_traces())).splitlines()   # at least one line
+    inserted = draw(st.sampled_from([None, None, "product", "scope_end"]))
+    if inserted is None:
+        with_fields = [i for i, line in enumerate(lines) if len(line.split()) > 2]
+        at = draw(st.sampled_from(with_fields or range(len(lines))))
+    else:
+        at = draw(st.integers(0, len(lines)))
+        if inserted == "product":
+            count = draw(_sizes)
+            elem = draw(st.integers(U32_MAX // count + 1, 2 * U32_MAX))
+            lines.insert(at, f"alloc_array {draw(_ids)} {count} {elem}")
+        else:
+            lines.insert(at, "scope_end")
+    toks = lines[at].split()
+    spec = _GRAMMAR.get(toks[0]) if toks else None
+    used = range(1, 1 + spec.ids) if spec and not spec.defines else ()
+    fields = list(enumerate(spec.fields, start=1 + spec.ids)) if spec else []
+    fields = [(i, f) for i, f in fields if i < len(toks)]
+    outside = [(i, v) for i, (_, lo, hi) in fields for v in (hi + 1, lo - 1)
+               if abs(v) != math.inf]
+    # Hypothesis favours early entries: the op fault, which hides every
+    # other, comes last
+    faults = ["range"] * bool(outside) + ["id"] * bool(used) + ["not_int"] * bool(fields)
+    faults += ["drop", "extra"] + ["op"] * bool(toks)
+    chosen = draw(st.lists(st.sampled_from(faults), min_size=inserted is None, max_size=2))
+    # edits first, so token positions hold until a token is dropped or added
+    for fault in sorted(chosen, key=lambda f: f in ("drop", "extra")):
+        if fault == "op":
+            toks[0] = draw(st.sampled_from(_BAD_OPS))
+        elif fault == "id":
+            toks[draw(st.sampled_from(used))] = "ghost"
+        elif fault == "not_int":
+            toks[draw(st.sampled_from(fields))[0]] = draw(st.sampled_from(_NOT_INTS))
+        elif fault == "range":
+            i, v = draw(st.sampled_from(outside))
+            toks[i] = draw(st.sampled_from([str, hex]))(v)
+        elif fault == "drop" and len(toks) > 1:
+            del toks[draw(st.integers(1, len(toks) - 1))]
+        else:
+            extra = draw(_ids | st.integers().map(str) | st.sampled_from(_NOT_INTS))
+            toks.insert(draw(st.integers(1, len(toks))) if toks else 0, extra)
+    lines[at] = " ".join(toks)
+    return lines
+
+
+@settings(max_examples=300, deadline=None)
+@given(_broken_lines())
+def test_refusals_match_the_line_at_a_time_reference(lines):
+    expected = trace_refusal_oracle(lines)
+    text = "\n".join(lines) + "\n"
+    if expected is None:
+        parse_trace(text)
+        return
+    line_no, reason = expected
+    with pytest.raises(TraceSyntaxError) as e:
+        parse_trace(text)
+    assert (e.value.line_no, str(e.value)) == (line_no, f"line {line_no}: {reason}")
 
 
 def test_format_round_trip():

@@ -8,10 +8,10 @@ from frameguard.tagging import (
     decode,
     encode_big,
     encode_small,
-    is_untagged,
     rebase,
     untag,
 )
+from oracles import is_untagged
 
 SLOT = 0x0000_1000_0000_8000
 
