@@ -8,7 +8,7 @@ from frameguard.frame_math import (
     slot_base,
     wrapper_frame,
 )
-from oracles import wrapper_frame_oracle
+from oracles import in_frame, wrapper_frame_oracle
 
 
 def test_wrapper_frame_examples():
@@ -89,6 +89,29 @@ def test_slot_base():
     for _ in range(1_000):
         addr = rng.randrange(1 << 48)
         assert slot_base(addr) == (addr // (1 << 15)) * (1 << 15)
+
+
+
+# in_frame is the reference the arithmetic check is held to in
+# test_checker; these pin the reference itself.
+def test_in_frame_examples():
+    assert in_frame(0x8010, 0x8FF0, 15)
+    assert not in_frame(0x8010, 0x1_0010, 15)
+    assert in_frame(0x12345, 0x12345, 0)
+    with pytest.raises(ValueError):
+        in_frame(0, 0, 64)
+
+
+def test_in_frame_symmetry_and_monotonicity():
+    rng = random.Random(99)
+    for _ in range(2_000):
+        p = rng.randrange(1 << 48)
+        q = rng.randrange(1 << 48)
+        n = rng.randrange(0, 49)
+        assert in_frame(p, q, n) == in_frame(q, p, n)
+        if in_frame(p, q, n):
+            for m in range(n, 49, 5):
+                assert in_frame(p, q, m)
 
 
 def test_frame_parameter_never_exceeds_48():
