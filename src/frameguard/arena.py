@@ -8,9 +8,11 @@ padding is imaginary: it widens the frame so one-past-end pointers stay
 resolvable, but consumes no storage and may overlap a neighbour.
 
 Placement is a 16-aligned bump cursor, optionally with randomized gaps
-to exercise arbitrary object arrangements.  Addresses are never reused,
-so headers of released objects linger as stale bytes would in a real
-heap; that matches what the checks can and cannot see afterwards.
+to exercise arbitrary object arrangements; one private step places,
+frames, tags and records an allocation, moving the cursor last so a
+refused one leaves no trace.  Addresses are never reused, so headers
+of released objects linger as stale bytes would in a real heap; that
+matches what the checks can and cannot see afterwards.
 
 Each allocation has one AllocationRecord, keyed by its header address
 in the only record store; the record holds what the header bytes hold
@@ -69,7 +71,6 @@ class ArenaStats:
     live_payload_bytes: int
     table_reserved_bytes: int
     table_touched_bytes: int
-    overhead_bytes: int          # 16 * live allocations + reserved table footprint
     total_allocations: int
     total_payload_bytes: int
     cursor_used_bytes: int
@@ -103,32 +104,29 @@ class Arena:
 
     # -- placement ----------------------------------------------------
 
-    def _place(self, total_bytes: int) -> int:
-        """Header address for total_bytes at the cursor; _register moves
-        the cursor once the allocation is accepted."""
+    def _register(self, raw_size: int, total_bytes: int, type_id: int,
+                  scope_id: int | None) -> AllocationRecord:
+        """Place total_bytes at the cursor, then frame, tag and record
+        the allocation; the cursor moves only once nothing refused it."""
         cursor = self._cursor
         if self._jitter:
             cursor += 16 * self._rng.randrange(self._jitter + 1)
-        header = (cursor + 15) & ~15
-        end = header + total_bytes
+        header_addr = (cursor + 15) & ~15
+        end = header_addr + total_bytes
         if end > self.base + self.size:
             raise ArenaExhausted(
-                f"arena exhausted: need {total_bytes} bytes at {header:#x}, arena ends at "
+                f"arena exhausted: need {total_bytes} bytes at {header_addr:#x}, arena ends at "
                 f"{self.base + self.size:#x}"
             )
-        return header
-
-    def _register(self, header_addr: int, raw_size: int, total_bytes: int,
-                  type_id: int, scope_id: int | None) -> AllocationRecord:
         obj_base = header_addr + HEADER_SIZE
-        frame = wrapper_frame(header_addr, header_addr + total_bytes - 1 + self.pad_bytes)
+        frame = wrapper_frame(header_addr, end - 1 + self.pad_bytes)
         if frame.n <= SLOT_BITS:
             tagged = encode_small(header_addr, obj_base)
         else:
             division, slot = self.table.entry_index(obj_base, frame.n)
             self.table.set_entry(division, slot, header_addr)
             tagged = encode_big(frame.n, obj_base)
-        self._cursor = header_addr + total_bytes
+        self._cursor = end
         record = AllocationRecord(
             id=len(self._by_header) + 1,
             header_addr=header_addr,
@@ -153,8 +151,7 @@ class Arena:
         if size < 1:
             raise ValueError("allocation size must be at least 1")
         check_header_fields(size, type_id)
-        header_addr = self._place(HEADER_SIZE + size)
-        return self._register(header_addr, size, HEADER_SIZE + size, type_id, scope_id)
+        return self._register(size, HEADER_SIZE + size, type_id, scope_id)
 
     def alloc_array(self, count: int, elem_size: int, type_id: int = 0,
                     scope_id: int | None = None) -> AllocationRecord:
@@ -171,8 +168,7 @@ class Arena:
         total = (count + extra) * elem_size
         raw_size = count * elem_size
         check_header_fields(raw_size, type_id)
-        header_addr = self._place(total)
-        return self._register(header_addr, raw_size, total, type_id, scope_id)
+        return self._register(raw_size, total, type_id, scope_id)
 
     def realloc(self, tagged: int, new_size: int) -> tuple[Verdict, AllocationRecord | None]:
         """Move an allocation to a fresh region of new_size bytes.
@@ -268,7 +264,6 @@ class Arena:
             live_payload_bytes=sum(live),
             table_reserved_bytes=self.table.reserved_bytes,
             table_touched_bytes=self.table.touched_bytes,
-            overhead_bytes=HEADER_SIZE * len(live) + self.table.reserved_bytes,
             total_allocations=len(self._by_header),
             total_payload_bytes=sum(r.raw_size for r in self._by_header.values()),
             cursor_used_bytes=self._cursor - self.base,

@@ -29,7 +29,8 @@ An alloc or realloc size, an alloc_array's count * elem_size and a
 type id must fit 32 bits.
 Ids must be introduced by alloc or alloc_array before any other use.
 Each load/store composes a pointer at base+offset from the object's
-canonical tagged pointer; ptr_add moves a per-id cursor pointer and the
+canonical tagged pointer; ptr_add moves a cursor pointer of the id's
+current allocation, which starts at the object base, and the
 copy/string events consume that cursor, so arithmetic sequences can be
 expressed.  Allocations inside scope_begin/scope_end belong to the
 innermost open scope and are released at its scope_end, the way frame
@@ -64,6 +65,12 @@ class TraceSyntaxError(ValueError):
     def __init__(self, line_no: int, reason: str):
         super().__init__(f"line {line_no}: {reason}")
         self.line_no = line_no
+
+
+def _cut(tok: str, quoted: bool = True) -> str:
+    """tok as a TraceSyntaxError shows it: past 40 characters, cut, with its length."""
+    head = repr(tok[:40]) if quoted else tok[:40]
+    return head if len(tok) <= 40 else f"{head}... ({len(tok)} characters)"
 
 
 class TraceEvent(NamedTuple):
@@ -172,7 +179,7 @@ def parse_trace(source: str | Iterable[str]) -> list[TraceEvent]:
         try:
             op, n_ids, fewest, most, fields, defines, scope = rows[toks[0]]
         except KeyError:
-            raise TraceSyntaxError(line_no, f"unknown operation {toks[0]!r}") from None
+            raise TraceSyntaxError(line_no, f"unknown operation {_cut(toks[0])}") from None
         n = len(toks)
         if n != most:
             if n != fewest:
@@ -189,21 +196,21 @@ def parse_trace(source: str | Iterable[str]) -> list[TraceEvent]:
                 name = defined[toks[1]]
                 name2 = defined[toks[2]] if n_ids == 2 else ""
         except KeyError as e:
-            raise TraceSyntaxError(line_no, f"undefined id {e.args[0]!r}") from None
+            raise TraceSyntaxError(line_no, f"undefined id {_cut(e.args[0])}") from None
         args = ()
         for i, field, lo, hi, low, high in fields:
             tok = toks[i]
             try:
                 v = int(tok, 0)
             except ValueError:
-                raise TraceSyntaxError(line_no, f"{field} {tok!r} is not an integer") from None
+                raise TraceSyntaxError(line_no, f"{field} {_cut(tok)} is not an integer") from None
             if low is not None and v < low or high is not None and v > high:
-                raise TraceSyntaxError(line_no, f"{field} {tok} outside [{lo}, {hi}]")
+                raise TraceSyntaxError(line_no, f"{field} {_cut(tok, False)} outside [{lo}, {hi}]")
             args += (v,)
         # the product is the header's 32-bit size field
         if op == "alloc_array" and args[0] * args[1] > _U32_MAX:
-            raise TraceSyntaxError(
-                line_no, f"count * elem_size {args[0] * args[1]} outside [1, {_U32_MAX}]")
+            product = _cut(str(args[0] * args[1]), False)
+            raise TraceSyntaxError(line_no, f"count * elem_size {product} outside [1, {_U32_MAX}]")
         depth += scope
         if depth < 0:
             raise TraceSyntaxError(line_no, "scope_end without matching scope_begin")
@@ -258,7 +265,7 @@ def run_trace(events: Sequence[TraceEvent], config: EngineConfig | None = None) 
         "strncpy": checker.check_strncpy,
     }
     bindings: dict[str, object] = {}
-    cursors: dict[str, int] = {}
+    cursors: dict[int, int] = {}    # header address -> pointer ptr_add moved
     scopes: list[list] = []
     counts = dict.fromkeys(VerdictKind, 0)
     violations: list[tuple[int, str]] = []
@@ -285,8 +292,9 @@ def run_trace(events: Sequence[TraceEvent], config: EngineConfig | None = None) 
                     f"offset {offset} moves {name!r} outside the 48-bit space") from None
             if op == "ptr_add":
                 if config.arith_checks:
-                    verdict = checker.check_arith(cursors[name], tagged)
-                cursors[name] = tagged
+                    verdict = checker.check_arith(
+                        cursors.get(record.header_addr, record.tagged), tagged)
+                cursors[record.header_addr] = tagged
             else:
                 verdict = check_access(AccessRequest(tagged, ev.args[1]))
         elif op in ("alloc", "alloc_array"):
@@ -296,7 +304,6 @@ def run_trace(events: Sequence[TraceEvent], config: EngineConfig | None = None) 
             else:
                 record = arena.alloc_array(ev.args[0], ev.args[1], scope_id=scope_id)
             bindings[ev.id] = record
-            cursors[ev.id] = record.tagged
             if scopes:
                 scopes[-1].append(record)
         elif op == "free":
@@ -306,13 +313,13 @@ def run_trace(events: Sequence[TraceEvent], config: EngineConfig | None = None) 
             verdict, new_record = arena.realloc(record.tagged, ev.args[0])
             if new_record is not None:
                 bindings[ev.id] = new_record
-                cursors[ev.id] = new_record.tagged
                 sid = new_record.scope_id
                 if sid is not None:
                     scopes[sid].append(new_record)
         elif op in copy_checks:
-            _record(ev.id), _record(ev.id2)
-            verdict = copy_checks[op](cursors[ev.id], cursors[ev.id2], ev.args[0])
+            dst, src = _record(ev.id), _record(ev.id2)
+            verdict = copy_checks[op](cursors.get(dst.header_addr, dst.tagged),
+                                      cursors.get(src.header_addr, src.tagged), ev.args[0])
         elif op == "scope_begin":
             scopes.append([])
         elif op == "scope_end":
@@ -476,21 +483,18 @@ def gen_workload(seed: int, params: WorkloadParams) -> tuple[list[TraceEvent], d
                     seq.append((TraceEvent("free", id=name), "double_free"))
         elif rng.random() < params.free_fraction:
             seq.append((TraceEvent("free", id=name), None))
-        queues.append(seq)
+        queues.append(seq[::-1])    # reversed: pop() takes the object's next event
 
     # interleave objects' sequences, preserving each object's own order
     events: list[TraceEvent] = []
     manifest: dict[int, str] = {}
-    pending = list(range(len(queues)))
-    positions = [0] * len(queues)
-    while pending:
-        slot = rng.randrange(len(pending))
-        qi = pending[slot]
-        ev, expected = queues[qi][positions[qi]]
-        positions[qi] += 1
-        if positions[qi] == len(queues[qi]):
-            pending[slot] = pending[-1]
-            pending.pop()
+    while queues:
+        slot = rng.randrange(len(queues))
+        queue = queues[slot]
+        ev, expected = queue.pop()
+        if not queue:
+            queues[slot] = queues[-1]
+            queues.pop()
         if expected is not None:
             manifest[len(events)] = expected
         events.append(ev)
@@ -510,17 +514,11 @@ def emit_report(report: RunReport, fmt: str = "text") -> str:
         return json.dumps(payload, indent=2) + "\n"
     if fmt != "text":
         raise ValueError(f"unknown report format {fmt!r}")
-    v = report.verdicts
     o = report.overhead
     c = report.checks
     lines = [
         f"events:     {report.event_count}",
-        (
-            "verdicts:   "
-            f"ok={v['ok']} overflow={v['overflow']} underflow={v['underflow']} "
-            f"out_of_frame={v['out_of_frame']} use_after_free={v['use_after_free']} "
-            f"double_free={v['double_free']} untracked={v['untracked']}"
-        ),
+        "verdicts:   " + " ".join(f"{kind}={n}" for kind, n in report.verdicts.items()),
         f"violations: {len(report.violations)}",
         (
             "checks:     "

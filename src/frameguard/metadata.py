@@ -29,7 +29,7 @@ from .frame_math import ADDRESS_MASK, SLOT_SIZE
 from .tagging import MAX_BIG_TAG, MIN_BIG_TAG, TAG_MASK, TAG_SHIFT, TagError, decode  # noqa: F401
 
 HEADER_SIZE = 16                 # bytes per header, kept 16-aligned
-DIVISION_BITS = 16
+DIVISION_BITS = MIN_BIG_TAG      # a division spans the smallest big frame
 DIVISION_SIZE = 1 << DIVISION_BITS
 ENTRIES_PER_DIVISION = 48        # frame logs 16..63; logs above 48 stay vacant
 ENTRY_BYTES = 8                  # each entry holds a full header address
@@ -80,9 +80,10 @@ class DivisionTable:
         The frame base falls out of zeroing the low n bits; its
         division is the frame base's distance from the arena base in
         2**16 units, and the slot within the division array is n - 16.
+        A log outside [MIN_BIG_TAG, MAX_BIG_TAG] is no big tag: TagError.
         """
         if not MIN_BIG_TAG <= n <= MAX_BIG_TAG:
-            raise ValueError(f"frame log {n} outside [{MIN_BIG_TAG}, {MAX_BIG_TAG}]")
+            raise TagError(f"frame log {n} outside [{MIN_BIG_TAG}, {MAX_BIG_TAG}]")
         framebase = addr & ~((1 << n) - 1)
         if framebase < self.arena_base:
             raise ArenaRangeError(f"frame base {framebase:#x} below arena base {self.arena_base:#x}")
@@ -127,10 +128,8 @@ class DivisionTable:
         addr = tagged & ADDRESS_MASK
         if tagged >> 63:
             return (addr & -SLOT_SIZE) + ((tagged >> TAG_SHIFT) & TAG_MASK)
-        tag = tagged >> TAG_SHIFT      # the flag is clear: all 16 top bits
-        if not MIN_BIG_TAG <= tag <= MAX_BIG_TAG:
-            raise TagError(f"value {tagged:#x} carries no resolvable tag")
-        division, slot = self.entry_index(addr, tag)
+        # flag clear: all 16 top bits are the tag, which entry_index checks
+        division, slot = self.entry_index(addr, tagged >> TAG_SHIFT)
         return self._entries.get(division * ENTRIES_PER_DIVISION + slot, 0)
 
     @property

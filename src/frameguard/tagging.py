@@ -11,12 +11,12 @@ consumers must accept those and pass them through unchecked.
 
 from __future__ import annotations
 
-from .frame_math import ADDRESS_MASK, slot_base
+from .frame_math import ADDRESS_MASK, SLOT_BITS, slot_base
 
 FLAG_BIT = 1 << 63
 TAG_SHIFT = 48
 TAG_MASK = 0x7FFF
-MIN_BIG_TAG = 16    # frames below 2**16 are slot-addressed instead
+MIN_BIG_TAG = SLOT_BITS + 1    # frames up to a slot are slot-addressed instead
 MAX_BIG_TAG = 48    # no wrapper frame exceeds the 48-bit space
 
 

@@ -70,13 +70,21 @@ def lookup_oracle(arena, tagged: int):
     return None, record
 
 
+def _shown(tok: str, quoted: bool = True) -> str:
+    """A refusal repeats at most the first 40 characters of a token,
+    then gives its length."""
+    if len(tok) > 40:
+        return f"{_shown(tok[:40], quoted)}... ({len(tok)} characters)"
+    return repr(tok) if quoted else tok
+
+
 def _line_refusal(toks: list[str], defined: set[str], depth: int) -> str | None:
     """Why parse_trace refuses a line, given the ids defined and the
     scope depth before it, or None if it does not."""
     op = toks[0]
     spec = _GRAMMAR.get(op)
     if spec is None:
-        return f"unknown operation {op!r}"
+        return f"unknown operation {_shown(op)}"
     n_ids, fields, optional, defines, scope = spec
     most = n_ids + len(fields)
     missing = most + 1 - len(toks)
@@ -85,18 +93,19 @@ def _line_refusal(toks: list[str], defined: set[str], depth: int) -> str | None:
     if not defines:
         for name in toks[1:n_ids + 1]:
             if name not in defined:
-                return f"undefined id {name!r}"
+                return f"undefined id {_shown(name)}"
     nums = []
     for tok, (field, lo, hi) in zip(toks[n_ids + 1:], fields):
         try:
             n = int(tok, 0)
         except ValueError:
-            return f"{field} {tok!r} is not an integer"
+            return f"{field} {_shown(tok)} is not an integer"
         if not lo <= n <= hi:
-            return f"{field} {tok} outside [{lo}, {hi}]"
+            return f"{field} {_shown(tok, False)} outside [{lo}, {hi}]"
         nums.append(n)
     if op == "alloc_array" and nums[0] * nums[1] > _U32_MAX:
-        return f"count * elem_size {nums[0] * nums[1]} outside [1, {_U32_MAX}]"
+        product = _shown(str(nums[0] * nums[1]), False)
+        return f"count * elem_size {product} outside [1, {_U32_MAX}]"
     if depth + scope < 0:
         return "scope_end without matching scope_begin"
     return None

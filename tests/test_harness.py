@@ -165,6 +165,25 @@ def test_syntax_error_messages_are_pinned(source, message):
     assert f"line {e.value.line_no}: " == message[:message.index(":") + 2]
 
 
+_LONG = "1" * 4301    # one digit past int()'s default string limit
+
+
+@pytest.mark.parametrize("source, message", [
+    (_A + f"load a {_LONG} 1\n",
+     f"line 2: offset '{'1' * 40}'... (4301 characters) is not an integer"),
+    (f"alloc a {'9' * 4000}\n",
+     f"line 1: size {'9' * 40}... (4000 characters) outside [1, 4294967295]"),
+    ("x" * 5000 + " a\n", f"line 1: unknown operation '{'x' * 40}'... (5000 characters)"),
+    ("load " + "x" * 5000 + " 0 1\n", f"line 1: undefined id '{'x' * 40}'... (5000 characters)"),
+    (f"alloc_array a {'9' * 45} 1\n",
+     f"line 1: count * elem_size {'9' * 40}... (45 characters) outside [1, 4294967295]"),
+])
+def test_syntax_errors_show_a_bounded_part_of_a_long_token(source, message):
+    with pytest.raises(TraceSyntaxError) as e:
+        parse_trace(source)
+    assert str(e.value) == message
+
+
 def test_parse_accepts_alloc_array_filling_32_bits():
     # 65535 * 65537 == 2**32 - 1, the largest size a header holds
     assert parse_trace("alloc_array a 65535 65537\n") == [
@@ -498,6 +517,43 @@ def test_nested_scopes_do_not_touch_outer_records():
     assert report.verdicts["ok"] == 1 and sum(report.verdicts.values()) == 3
 
 
+def test_realloc_in_a_scope_is_released_at_its_scope_end():
+    text = "scope_begin\nalloc a 40\nrealloc a 200000\nscope_end\nload a 0 1\n"
+    report = run_trace(parse_trace(text))
+    assert report.violations == [(4, "use_after_free")]
+    assert report.verdicts["ok"] == 1 and sum(report.verdicts.values()) == 2
+
+
+@pytest.mark.parametrize("outer", [False, True])
+def test_outer_id_reallocated_in_an_inner_scope_survives_it(outer):
+    text = "alloc a 40\nscope_begin\nrealloc a 200000\nscope_end\nload a 0 1\n"
+    if outer:
+        text = "scope_begin\n" + text + "scope_end\n"
+    report = run_trace(parse_trace(text))
+    assert report.violations == []
+    assert report.verdicts["ok"] == 2 and sum(report.verdicts.values()) == 2
+
+
+@pytest.mark.parametrize("rebind", ["realloc a 256", "alloc a 256"])
+def test_rebinding_an_id_resets_its_cursor(rebind):
+    # a cursor left at offset 60 of the old 64-byte object would make
+    # the copy an overflow
+    text = f"alloc a 64\nalloc b 256\nptr_add a 60\n{rebind}\nmemcpy a b 100\n"
+    report = run_trace(parse_trace(text))
+    assert report.violations == []
+    assert report.verdicts["ok"] == 1 + rebind.startswith("realloc")
+
+
+@pytest.mark.parametrize("event, message", [
+    (TraceEvent("bogus"), "unknown operation 'bogus'"),
+    (TraceEvent("scope_end"), "scope_end without matching scope_begin"),
+])
+def test_events_parse_trace_refuses_are_runtime_errors(event, message):
+    # parse_trace refuses such a line, so the event is built by hand
+    with pytest.raises(TraceRuntimeError, match=message):
+        run_trace([event])
+
+
 def test_ptr_add_is_noop_without_arith_checks():
     text = "alloc a 40\nptr_add a 100000\nstore a 0 1\n"
     report = run_trace(parse_trace(text))
@@ -690,6 +746,78 @@ def test_json_report_schema_and_key_order():
         (payload["overhead"]["header_bytes"] + payload["overhead"]["table_bytes"]
          + payload["overhead"]["payload_bytes"]) / payload["overhead"]["payload_bytes"]
     )
+
+
+# All twelve ops, both frame classes and every verdict kind a trace can
+# reach (a trace's pointers are all tagged, so untracked stays 0), with
+# arithmetic checks on
+_PINNED_TRACE = """\
+alloc s 40
+alloc_array arr 10 8
+alloc t 32
+scope_begin
+alloc big 100000 7
+store big 99999 1
+store big -1 1
+scope_end
+load big 0 1
+load s 0 8
+store s 40 1
+ptr_add s 100000
+ptr_add arr 8
+strcpy t s 31
+strncpy t arr 33
+realloc s 64
+memcpy s arr 72
+free t
+free t
+realloc t 10
+"""
+
+_PINNED_TEXT = (
+    "events:     20\n"
+    "verdicts:   ok=6 overflow=3 underflow=1 out_of_frame=1 use_after_free=1 "
+    "double_free=2 untracked=0\n"
+    "violations: 8\n"
+    "checks:     access=8 arith=2 lookups_small=5 lookups_big=3\n"
+    "overhead:   headers=80B table=384B payload=100216B ratio=1.0046\n"
+    "arena:      live=2 live_headers=32B table_reserved=1572864B used=100304B\n"
+)
+
+_PINNED_JSON = """\
+{
+  "verdicts": {
+    "ok": 6,
+    "overflow": 3,
+    "underflow": 1,
+    "out_of_frame": 1,
+    "use_after_free": 1,
+    "double_free": 2,
+    "untracked": 0
+  },
+  "overhead": {
+    "header_bytes": 80,
+    "table_bytes": 384,
+    "payload_bytes": 100216,
+    "ratio": 1.0046299992017242
+  },
+  "checks": {
+    "access_checks": 8,
+    "arith_checks": 2,
+    "lookups_small": 5,
+    "lookups_big": 3
+  }
+}
+"""
+
+
+def test_report_bytes_are_pinned():
+    report = run_trace(parse_trace(_PINNED_TRACE), EngineConfig(arith_checks=True))
+    assert report.violations == [
+        (6, "underflow"), (8, "use_after_free"), (10, "overflow"), (11, "out_of_frame"),
+        (14, "overflow"), (16, "overflow"), (18, "double_free"), (19, "double_free")]
+    assert emit_report(report, "text") == _PINNED_TEXT
+    assert emit_report(report, "json") == _PINNED_JSON
 
 
 def test_text_report_mentions_totals():
