@@ -9,12 +9,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import MISSING, fields
 
-from .arena import DEFAULT_ARENA_BASE, DEFAULT_ARENA_SIZE, ArenaExhausted
+from .arena import ArenaExhausted
 from .harness import (
     EngineConfig,
     TraceRuntimeError,
-    TraceSyntaxError,
     WorkloadParams,
     emit_report,
     format_trace,
@@ -28,6 +28,20 @@ def _auto_int(value: str) -> int:
     return int(value, 0)
 
 
+def _kinds(value: str) -> tuple[str, ...]:
+    return tuple(k for k in value.split(",") if k)
+
+
+def _defaults(cls) -> dict:
+    """cls's field defaults, for set_defaults; each option's dest is the field it sets."""
+    return {f.name: f.default for f in fields(cls) if f.default is not MISSING}
+
+
+def _build(cls, args: argparse.Namespace):
+    """cls from the parsed options whose dests are its fields."""
+    return cls(**{f.name: getattr(args, f.name) for f in fields(cls)})
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="frameguard",
@@ -38,40 +52,40 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="replay a trace file and report verdicts")
     run.add_argument("trace", help="trace file path, or - for stdin")
     run.add_argument("--json", action="store_true", help="emit the JSON report")
-    run.add_argument("--arena-base", type=_auto_int, default=DEFAULT_ARENA_BASE)
-    run.add_argument("--arena-size", type=_auto_int, default=DEFAULT_ARENA_SIZE)
-    run.add_argument("--pad", type=_auto_int, default=1,
+    run.add_argument("--arena-base", type=_auto_int)
+    run.add_argument("--arena-size", type=_auto_int)
+    run.add_argument("--pad", dest="pad_bytes", type=_auto_int,
                      help="fake padding bytes used when framing allocations")
     run.add_argument("--arith-checks", action="store_true",
                      help="enable frame-escape checks at ptr_add")
     run.add_argument("--fail-on-violation", action="store_true",
                      help="exit nonzero when any violation was detected")
-    run.add_argument("--jitter", type=_auto_int, default=0,
+    run.add_argument("--jitter", dest="placement_jitter", type=_auto_int,
                      help="max random gap between objects, in 16-byte units")
-    run.add_argument("--seed", type=_auto_int, default=0,
+    run.add_argument("--seed", dest="placement_seed", type=_auto_int,
                      help="placement seed used when --jitter is set")
-    run.set_defaults(func=_cmd_run)
+    run.set_defaults(func=_cmd_run, **_defaults(EngineConfig))
 
     gen = sub.add_parser("gen", help="generate a synthetic workload trace")
     gen.add_argument("--seed", type=_auto_int, required=True)
     gen.add_argument("--objects", type=_auto_int, required=True)
-    gen.add_argument("--faults", type=float, default=0.0,
+    gen.add_argument("--faults", dest="fault_rate", type=float,
                      help="per-access probability of an injected fault")
-    gen.add_argument("--fault-kinds", default="overflow,underflow",
+    gen.add_argument("--fault-kinds", type=_kinds,
                      help="comma list: overflow,underflow,use_after_free,double_free")
-    gen.add_argument("--sizes", default="uniform:16:4096",
+    gen.add_argument("--sizes", dest="size_dist",
                      help="fixed:N | uniform:LO:HI | loguniform:LO:HI")
-    gen.add_argument("--accesses", type=_auto_int, default=4,
+    gen.add_argument("--accesses", dest="accesses_per_object", type=_auto_int,
                      help="accesses per object")
     gen.add_argument("--edge-probe", action="store_true",
                      help="add one-past-end and one-before-base stores per object")
-    gen.add_argument("--arrays", type=float, default=0.0,
+    gen.add_argument("--arrays", dest="array_fraction", type=float,
                      help="fraction of objects allocated as element arrays")
-    gen.add_argument("--free-fraction", type=float, default=0.0,
+    gen.add_argument("--free-fraction", type=float,
                      help="fraction of objects freed at the end of their sequence")
     gen.add_argument("--out", help="trace output file (default stdout)")
     gen.add_argument("--manifest", help="write the expected-violation manifest JSON here")
-    gen.set_defaults(func=_cmd_gen)
+    gen.set_defaults(func=_cmd_gen, **_defaults(WorkloadParams))
     return parser
 
 
@@ -81,32 +95,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
     else:
         with open(args.trace, "r", encoding="utf-8") as fh:
             text = fh.read()
-    events = parse_trace(text)
-    config = EngineConfig(
-        arena_base=args.arena_base,
-        arena_size=args.arena_size,
-        pad_bytes=args.pad,
-        arith_checks=args.arith_checks,
-        placement_jitter=args.jitter,
-        placement_seed=args.seed,
-    )
-    report = run_trace(events, config)
+    report = run_trace(parse_trace(text), _build(EngineConfig, args))
     sys.stdout.write(emit_report(report, "json" if args.json else "text"))
     return 1 if args.fail_on_violation and report.violations else 0
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    params = WorkloadParams(
-        objects=args.objects,
-        size_dist=args.sizes,
-        accesses_per_object=args.accesses,
-        fault_rate=args.faults,
-        fault_kinds=tuple(k for k in args.fault_kinds.split(",") if k),
-        edge_probe=args.edge_probe,
-        array_fraction=args.arrays,
-        free_fraction=args.free_fraction,
-    )
-    events, manifest = gen_workload(args.seed, params)
+    events, manifest = gen_workload(args.seed, _build(WorkloadParams, args))
     text = format_trace(events)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -129,11 +124,6 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (TraceSyntaxError, TraceRuntimeError, ArenaExhausted, EntryConflictError,
-            ValueError, OSError) as exc:
+    except (TraceRuntimeError, ArenaExhausted, EntryConflictError, ValueError, OSError) as exc:
         print(f"frameguard: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -67,10 +67,18 @@ class TraceSyntaxError(ValueError):
         self.line_no = line_no
 
 
-def _cut(tok: str, quoted: bool = True) -> str:
-    """tok as a TraceSyntaxError shows it: past 40 characters, cut, with its length."""
-    head = repr(tok[:40]) if quoted else tok[:40]
-    return head if len(tok) <= 40 else f"{head}... ({len(tok)} characters)"
+def _cut(tok: str | int, quoted: bool = True) -> str:
+    """tok as an error message shows it: past 40 characters, cut, with its
+    length.  An int shows as its decimal string would, unquoted, but only
+    its leading digits are converted, so no int is too long to show."""
+    if isinstance(tok, int):
+        # the digits past the first 40 or more, dropped before converting
+        dropped = max(0, int((abs(tok).bit_length() - 1) * math.log10(2)) - 40)
+        head = ("-" if tok < 0 else "") + str(abs(tok) // 10 ** dropped)
+        head, length = head[:40], len(head) + dropped
+    else:
+        head, length = (repr(tok[:40]) if quoted else tok[:40]), len(tok)
+    return head if length <= 40 else f"{head}... ({length} characters)"
 
 
 class TraceEvent(NamedTuple):
@@ -209,8 +217,8 @@ def parse_trace(source: str | Iterable[str]) -> list[TraceEvent]:
             args += (v,)
         # the product is the header's 32-bit size field
         if op == "alloc_array" and args[0] * args[1] > _U32_MAX:
-            product = _cut(str(args[0] * args[1]), False)
-            raise TraceSyntaxError(line_no, f"count * elem_size {product} outside [1, {_U32_MAX}]")
+            raise TraceSyntaxError(
+                line_no, f"count * elem_size {_cut(args[0] * args[1])} outside [1, {_U32_MAX}]")
         depth += scope
         if depth < 0:
             raise TraceSyntaxError(line_no, "scope_end without matching scope_begin")
@@ -274,7 +282,7 @@ def run_trace(events: Sequence[TraceEvent], config: EngineConfig | None = None) 
         try:
             return bindings[name]
         except KeyError:
-            raise TraceRuntimeError(f"id {name!r} used before allocation") from None
+            raise TraceRuntimeError(f"id {_cut(name)} used before allocation") from None
 
     for index, ev in enumerate(events):
         verdict: Verdict | None = None
@@ -289,7 +297,7 @@ def run_trace(events: Sequence[TraceEvent], config: EngineConfig | None = None) 
                 tagged = rebase(record.tagged, record.obj_base + offset)
             except TagError:
                 raise TraceRuntimeError(
-                    f"offset {offset} moves {name!r} outside the 48-bit space") from None
+                    f"offset {_cut(offset)} moves {_cut(name)} outside the 48-bit space") from None
             if op == "ptr_add":
                 if config.arith_checks:
                     verdict = checker.check_arith(
@@ -327,7 +335,7 @@ def run_trace(events: Sequence[TraceEvent], config: EngineConfig | None = None) 
                 raise TraceRuntimeError("scope_end without matching scope_begin")
             arena.scope_end(scopes.pop())
         else:
-            raise TraceRuntimeError(f"unknown operation {op!r}")
+            raise TraceRuntimeError(f"unknown operation {_cut(op)}")
         if verdict is not None:
             # counted by member: a member's .value read is slow per event
             kind = verdict.kind

@@ -4,6 +4,8 @@ Each one is deliberately naive and must stay independent of the code it
 cross-checks.
 """
 
+from decimal import Decimal
+
 from frameguard.frame_math import ADDRESS_MASK, RegionError, slot_base
 from frameguard.harness import _GRAMMAR
 from frameguard.metadata import _U32_MAX, ArenaRangeError
@@ -104,7 +106,8 @@ def _line_refusal(toks: list[str], defined: set[str], depth: int) -> str | None:
             return f"{field} {_shown(tok, False)} outside [{lo}, {hi}]"
         nums.append(n)
     if op == "alloc_array" and nums[0] * nums[1] > _U32_MAX:
-        product = _shown(str(nums[0] * nums[1]), False)
+        # through Decimal, since str() refuses an int past 4,300 digits
+        product = _shown(str(Decimal(nums[0] * nums[1])), False)
         return f"count * elem_size {product} outside [1, {_U32_MAX}]"
     if depth + scope < 0:
         return "scope_end without matching scope_begin"

@@ -255,6 +255,8 @@ def test_arena_exhaustion():
 def test_jitter_without_rng_is_rejected():
     with pytest.raises(ValueError):
         Arena(placement_jitter=50)
+    with pytest.raises(ValueError):
+        Arena(placement_jitter=-1, rng=random.Random(0))
 
 
 def test_largest_arena_is_built_lazily():
@@ -289,6 +291,11 @@ def test_rejects_bad_sizes():
         a.alloc_array(0, 8)
     with pytest.raises(ValueError):
         a.alloc_array(4, 0)
+    r = a.alloc(8)
+    with pytest.raises(ValueError):
+        a.realloc(r.tagged, 0)
+    with pytest.raises(ValueError):
+        small_arena(pad_bytes=-1)
 
 
 @pytest.mark.parametrize("size, call", [

@@ -9,7 +9,8 @@ from frameguard.checker import AccessRequest, Checker
 from frameguard.frame_math import ADDRESS_MASK, SLOT_BITS
 from frameguard.metadata import ArenaRangeError
 from frameguard.tagging import (
-    FLAG_BIT, MAX_BIG_TAG, MIN_BIG_TAG, TAG_MASK, TAG_SHIFT, decode, encode_big, rebase, untag)
+    FLAG_BIT, MAX_BIG_TAG, MIN_BIG_TAG, TAG_MASK, TAG_SHIFT, TagError, decode, encode_big, rebase,
+    untag)
 from frameguard.verdicts import Verdict, VerdictKind
 from oracles import in_frame, is_untagged
 
@@ -147,6 +148,10 @@ def test_arith_big_framed_uses_tagged_n():
     outside = rebase(r.tagged, r.frame.base + r.frame.size)
     assert ck.check_arith(r.tagged, inside).kind is VerdictKind.OK
     assert ck.check_arith(r.tagged, outside).kind is VerdictKind.OUT_OF_FRAME
+    # a flag-clear tag outside [16, 48] is no frame log
+    for n in (MIN_BIG_TAG - 1, MAX_BIG_TAG + 1):
+        with pytest.raises(TagError):
+            ck.check_arith((n << TAG_SHIFT) | r.obj_base, r.obj_base)
 
 
 def test_arith_untracked_passthrough():
@@ -223,11 +228,15 @@ def test_memcpy():
     v = ck.check_memcpy(short.tagged, freed.tagged, 64)
     assert v.operand == "dst"
 
+    # both operands untracked: the copy is not checked
+    assert ck.check_memcpy(0x1000, 0x2000, 64).kind is VerdictKind.UNTRACKED
+
 
 def test_memset():
     arena, ck = setup()
     r = arena.alloc(32)
     assert ck.check_memset(r.tagged, 32).kind is VerdictKind.OK
+    assert ck.check_memset(r.tagged, 0).kind is VerdictKind.OK
     v = ck.check_memset(r.tagged, 33)
     assert v.kind is VerdictKind.OVERFLOW and v.operand == "dst"
 
@@ -293,6 +302,8 @@ def test_negative_byte_counts_rejected():
         ck.check_memcpy(r.tagged, r.tagged, -1)
     with pytest.raises(ValueError):
         ck.check_strcpy(r.tagged, r.tagged, -1)
+    with pytest.raises(ValueError):
+        ck.check_memset(r.tagged, -1)
     with pytest.raises(ValueError):
         AccessRequest(r.tagged, 0)
 

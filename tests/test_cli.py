@@ -2,7 +2,11 @@ import json
 import subprocess
 import sys
 
+import pytest
+
+from frameguard import cli
 from frameguard.cli import main
+from frameguard.harness import EngineConfig, WorkloadParams, gen_workload, run_trace
 
 
 def test_run_text_and_json(tmp_path, capsys):
@@ -134,3 +138,47 @@ def test_offset_outside_address_space_exits_2(tmp_path, capsys):
     assert main(["run", str(trace)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("frameguard: ") and "'a'" in err and err.count("\n") == 1
+
+
+_GEN = ["gen", "--seed", "5", "--objects", "2"]
+
+
+@pytest.mark.parametrize("argv, fields", [
+    (["run", "t.txt"], {}),
+    (["run", "t.txt", "--arena-base", "0x20000"], {"arena_base": 0x20000}),
+    (["run", "t.txt", "--arena-size", "0x10000000"], {"arena_size": 0x10000000}),
+    (["run", "t.txt", "--pad", "0"], {"pad_bytes": 0}),
+    (["run", "t.txt", "--arith-checks"], {"arith_checks": True}),
+    (["run", "t.txt", "--jitter", "5"], {"placement_jitter": 5}),
+    (["run", "t.txt", "--seed", "3"], {"placement_seed": 3}),
+    (_GEN, {}),
+    (_GEN + ["--faults", "0.2"], {"fault_rate": 0.2}),
+    (_GEN + ["--fault-kinds", "overflow,use_after_free,"],
+     {"fault_kinds": ("overflow", "use_after_free")}),
+    (_GEN + ["--sizes", "loguniform:1:100000"], {"size_dist": "loguniform:1:100000"}),
+    (_GEN + ["--accesses", "2"], {"accesses_per_object": 2}),
+    (_GEN + ["--edge-probe"], {"edge_probe": True}),
+    (_GEN + ["--arrays", "0.3"], {"array_fraction": 0.3}),
+    (_GEN + ["--free-fraction", "0.5"], {"free_fraction": 0.5}),
+])
+def test_each_flag_sets_its_field_and_omitted_flags_the_defaults(
+        argv, fields, tmp_path, capsys, monkeypatch):
+    seen = []
+
+    def spy_run(events, config):
+        seen.append(config)
+        return run_trace(events, config)
+
+    def spy_gen(seed, params):
+        seen.append((seed, params))
+        return gen_workload(seed, params)
+
+    monkeypatch.setattr(cli, "run_trace", spy_run)
+    monkeypatch.setattr(cli, "gen_workload", spy_gen)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "t.txt").write_text("alloc a 40\nstore a 38 4\n")
+    assert main(argv) == 0
+    if argv[0] == "run":
+        assert seen == [EngineConfig(**fields)]
+    else:
+        assert seen == [(5, WorkloadParams(objects=2, **fields))]

@@ -2,6 +2,7 @@ import gc
 import io
 import math
 import tracemalloc
+from decimal import Decimal
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from frameguard.harness import (
     _GRAMMAR,
+    _cut,
     EngineConfig,
     TraceEvent,
     TraceRuntimeError,
@@ -177,11 +179,29 @@ _LONG = "1" * 4301    # one digit past int()'s default string limit
     ("load " + "x" * 5000 + " 0 1\n", f"line 1: undefined id '{'x' * 40}'... (5000 characters)"),
     (f"alloc_array a {'9' * 45} 1\n",
      f"line 1: count * elem_size {'9' * 40}... (45 characters) outside [1, 4294967295]"),
+    # a product too long for a decimal string: only its leading digits are converted
+    (f"alloc_array a {'9' * 4300} {'9' * 4300}\n",
+     f"line 1: count * elem_size {'9' * 40}... (8600 characters) outside [1, 4294967295]"),
 ])
 def test_syntax_errors_show_a_bounded_part_of_a_long_token(source, message):
     with pytest.raises(TraceSyntaxError) as e:
         parse_trace(source)
     assert str(e.value) == message
+    assert "line %d: %s" % trace_refusal_oracle(io.StringIO(source)) == message
+
+
+_powers_of_ten = st.builds(lambda k, d, sign: sign * (10 ** k + d),
+                          st.integers(0, 9000), st.integers(-1, 1), st.sampled_from([1, -1]))
+_wide_ints = st.integers(0, 30000).flatmap(lambda bits: st.integers(-(1 << bits), 1 << bits))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.integers(), _powers_of_ten, _wide_ints))
+def test_an_int_is_cut_as_its_decimal_string_would_be(value):
+    # Decimal's string has no digit limit, so it serves as the reference
+    digits = str(Decimal(value))
+    assert _cut(value) == (digits if len(digits) <= 40
+                           else f"{digits[:40]}... ({len(digits)} characters)")
 
 
 def test_parse_accepts_alloc_array_filling_32_bits():
@@ -476,10 +496,17 @@ def test_unbound_id_is_a_runtime_error_naming_it(op, args):
         run_trace(events)
 
 
-@pytest.mark.parametrize("offset", [-(1 << 48), 1 << 48])
-def test_offset_outside_the_address_space_is_a_runtime_error(offset):
-    with pytest.raises(TraceRuntimeError, match=f"offset {offset} moves 'a' outside"):
-        run_trace(parse_trace(f"alloc a 40\nstore a {offset} 1\n"))
+@pytest.mark.parametrize("name, offset, shown", [
+    ("a", -(1 << 48), "offset -281474976710656 moves 'a'"),
+    ("a", 1 << 48, "offset 281474976710656 moves 'a'"),
+    # long operands are cut as a syntax error cuts a token
+    ("a", "1" * 4300, f"offset {'1' * 40}... (4300 characters) moves 'a'"),
+    ("x" * 5000, 1 << 48, f"offset 281474976710656 moves '{'x' * 40}'... (5000 characters)"),
+], ids=[str(-(1 << 48)), str(1 << 48), "4300_digit_offset", "5000_character_id"])
+def test_offset_outside_the_address_space_is_a_runtime_error(name, offset, shown):
+    with pytest.raises(TraceRuntimeError) as e:
+        run_trace(parse_trace(f"alloc {name} 40\nstore {name} {offset} 1\n"))
+    assert str(e.value) == f"{shown} outside the 48-bit space"
 
 
 def test_realloc_trace_rebinds():
@@ -547,11 +574,18 @@ def test_rebinding_an_id_resets_its_cursor(rebind):
 @pytest.mark.parametrize("event, message", [
     (TraceEvent("bogus"), "unknown operation 'bogus'"),
     (TraceEvent("scope_end"), "scope_end without matching scope_begin"),
+    # long operands are cut, and an int too long for a decimal string is shown
+    (TraceEvent("x" * 5000), f"unknown operation '{'x' * 40}'... (5000 characters)"),
+    (TraceEvent("load", id="x" * 5000, args=(0, 1)),
+     f"id '{'x' * 40}'... (5000 characters) used before allocation"),
+    (TraceEvent("load", id="a", args=(10 ** 5000, 1)),
+     f"offset 1{'0' * 39}... (5001 characters) moves 'a' outside the 48-bit space"),
 ])
 def test_events_parse_trace_refuses_are_runtime_errors(event, message):
     # parse_trace refuses such a line, so the event is built by hand
-    with pytest.raises(TraceRuntimeError, match=message):
-        run_trace([event])
+    with pytest.raises(TraceRuntimeError) as e:
+        run_trace([TraceEvent("alloc", id="a", args=(40, 0)), event])
+    assert str(e.value) == message
 
 
 def test_ptr_add_is_noop_without_arith_checks():
@@ -724,6 +758,12 @@ def test_workload_param_validation():
         WorkloadParams(objects=1, fault_rate=0.5, fault_kinds=())
     with pytest.raises(ValueError):
         WorkloadParams(objects=1, fault_kinds=("stray",))
+    with pytest.raises(ValueError):
+        WorkloadParams(objects=1, accesses_per_object=-1)
+    with pytest.raises(ValueError):
+        WorkloadParams(objects=1, array_fraction=-0.1)
+    with pytest.raises(ValueError):
+        WorkloadParams(objects=1, free_fraction=1.5)
 
 
 # -- reporting -----------------------------------------------------------

@@ -44,6 +44,8 @@ def test_table_init_rejects_misalignment():
         DivisionTable(BASE, (1 << 20) + 4)
     with pytest.raises(ValueError):
         DivisionTable(0, 1 << 20)
+    with pytest.raises(ValueError):
+        DivisionTable(BASE, 1 << 48)    # past the 48-bit space
 
 
 def test_entry_index_examples():

@@ -32,6 +32,8 @@ def test_encode_small_examples():
 def test_encode_small_rejects_cross_slot():
     with pytest.raises(TagError):
         encode_small(SLOT + 0x10, SLOT + SLOT_SIZE)
+    with pytest.raises(TagError):    # outside the 48-bit space
+        encode_small(1 << 48, 1 << 48)
 
 
 def test_encode_big_examples():
@@ -46,6 +48,8 @@ def test_encode_big_rejects_out_of_range():
         encode_big(15, 0)
     with pytest.raises(TagError):
         encode_big(49, 0)
+    with pytest.raises(TagError):
+        encode_big(20, 1 << 48)
 
 
 def test_untag():
