@@ -30,7 +30,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .frame_math import SLOT_BITS, WrapperFrame, wrapper_frame
+from .frame_math import ADDRESS_MASK, SLOT_BITS, WrapperFrame, wrapper_frame
 from .metadata import HEADER_SIZE, ArenaRangeError, DivisionTable, check_header_fields
 # decode is imported only so the traced benchmark run (perfbench/layers.py)
 # finds the name it patches in this module
@@ -39,6 +39,11 @@ from .verdicts import DOUBLE_FREE, OK, OUT_OF_FRAME, UNTRACKED, Verdict, Verdict
 
 DEFAULT_ARENA_BASE = 1 << 44          # 0x0000_1000_0000_0000
 DEFAULT_ARENA_SIZE = 1 << 28
+DEFAULT_PAD_BYTES = 1                 # FRAMER's fake padding: one-past-end pointers resolve
+
+# Arena.lookup's answers that carry no record, built once
+_UNTRACKED = (UNTRACKED, None)
+_OUT_OF_FRAME = (OUT_OF_FRAME, None)
 
 
 class ArenaExhausted(RuntimeError):
@@ -81,7 +86,7 @@ class Arena:
         self,
         base: int = DEFAULT_ARENA_BASE,
         size: int = DEFAULT_ARENA_SIZE,
-        pad_bytes: int = 1,
+        pad_bytes: int = DEFAULT_PAD_BYTES,
         placement_jitter: int = 0,
         rng: random.Random | None = None,
     ):
@@ -114,10 +119,8 @@ class Arena:
         header_addr = (cursor + 15) & ~15
         end = header_addr + total_bytes
         if end > self.base + self.size:
-            raise ArenaExhausted(
-                f"arena exhausted: need {total_bytes} bytes at {header_addr:#x}, arena ends at "
-                f"{self.base + self.size:#x}"
-            )
+            raise ArenaExhausted(f"arena exhausted: need {total_bytes} bytes at {header_addr:#x}, "
+                                 f"arena ends at {self.base + self.size:#x}")
         obj_base = header_addr + HEADER_SIZE
         frame = wrapper_frame(header_addr, end - 1 + self.pad_bytes)
         if frame.n <= SLOT_BITS:
@@ -127,16 +130,8 @@ class Arena:
             self.table.set_entry(division, slot, header_addr)
             tagged = encode_big(frame.n, obj_base)
         self._cursor = end
-        record = AllocationRecord(
-            id=len(self._by_header) + 1,
-            header_addr=header_addr,
-            obj_base=obj_base,
-            raw_size=raw_size,
-            frame=frame,
-            tagged=tagged,
-            type_id=type_id,
-            scope_id=scope_id,
-        )
+        record = AllocationRecord(len(self._by_header) + 1, header_addr, obj_base, raw_size,
+                                  frame, tagged, type_id, True, scope_id)
         self._by_header[header_addr] = record
         return record
 
@@ -201,7 +196,7 @@ class Arena:
         if fail is not None:
             return fail
         self._release(record)
-        return Verdict(OK, address=untag(tagged), alloc_id=record.id)
+        return Verdict(OK, tagged & ADDRESS_MASK, record.id)
 
     def scope_end(self, records: list[AllocationRecord]) -> None:
         """Epilogue for a closing scope: vacate big-frame entries and
@@ -221,16 +216,16 @@ class Arena:
         Callers judge bounds and liveness from the record.
         """
         if not tagged >> TAG_SHIFT:
-            return UNTRACKED, None
+            return _UNTRACKED
         try:
             record = self._by_header.get(self.table.header_lookup(tagged))
         except ArenaRangeError:
             # the frame base left the arena entirely
-            return OUT_OF_FRAME, None
+            return _OUT_OF_FRAME
         if record is None and tagged >> 63:
             # anywhere in its own slot a small-framed pointer finds its
             # header, live or dead; no header means it left the slot
-            return OUT_OF_FRAME, None
+            return _OUT_OF_FRAME
         return None, record
 
     def _resolve_live(self, tagged: int) -> tuple[Verdict | None, AllocationRecord | None]:
@@ -245,8 +240,9 @@ class Arena:
         return None, record
 
     def _release(self, record: AllocationRecord) -> None:
-        if not record.is_small:
-            division, slot = self.table.entry_index(record.obj_base, record.frame.n)
+        n = record.frame.n
+        if n > SLOT_BITS:
+            division, slot = self.table.entry_index(record.obj_base, n)
             self.table.reset_entry(division, slot)
         record.live = False
         # the header bytes stay in place, as they would in a real heap

@@ -1,12 +1,14 @@
 """Runtime verification of tagged-pointer accesses.
 
-Every check classifies the pointer through Arena.lookup, the one place
-a pointer's outcome is decided, reads the raw object size from the
-allocation record it returns, and reports the outcome as a verdict.
-Checks never raise for bad accesses; a replay run keeps going and
-keeps only its violations, as (event index, kind), plus per-kind
-counts; nothing is kept per event.  The bounds rule for an access of
-s bytes at untagged address p with object base b and raw size z:
+check_access is the one statement of the bounds rule.  It classifies
+the pointer through Arena.lookup, the one place a pointer's outcome is
+decided, reads the raw object size from the record it returns, and
+reports the outcome as a verdict; the copy checks and check_memset judge
+each operand through it and name the operand only on a violation.
+Checks never raise for bad accesses; a replay run keeps going and keeps
+only its violations, as (event index, kind), plus per-kind counts;
+nothing is kept per event.  The bounds rule for an access of s bytes at
+untagged address p with object base b and raw size z:
 
     p <  b            -> underflow (protects the header as well)
     p + s - 1 > b+z-1 -> overflow
@@ -31,6 +33,8 @@ from .frame_math import ADDRESS_MASK, SLOT_BITS
 # decode is unused, kept only because perfbench/layers.py patches it here
 from .tagging import MAX_BIG_TAG, MIN_BIG_TAG, TAG_SHIFT, TagError, decode  # noqa: F401
 from .verdicts import OK, OUT_OF_FRAME, OVERFLOW, UNDERFLOW, UNTRACKED, USE_AFTER_FREE, Verdict
+
+_new = tuple.__new__
 
 
 class AccessRequest:
@@ -60,14 +64,14 @@ class Checker:
         self.arena = arena
         self.counters = CheckCounters()
 
-    def _check(self, tagged: int, size: int, operand: str | None = None) -> Verdict:
-        """Bounds verdict for size bytes at a tagged pointer.
+    # -- checks -------------------------------------------------------
 
-        Arena.lookup classifies the pointer and supplies the record;
-        operand labels violations of a two-pointer check.
-        """
+    def check_access(self, req: AccessRequest) -> Verdict:
+        """Bounds verdict for one load or store; untracked addresses pass
+        unchecked.  The verdict's address is the untagged one."""
         counters = self.counters
         counters.access_checks += 1
+        tagged = req.tagged
         kind, record = self.arena.lookup(tagged)
         if kind is UNTRACKED:
             return Verdict(kind, tagged)
@@ -78,24 +82,19 @@ class Checker:
         addr = tagged & ADDRESS_MASK
         if record is None:
             # out of frame, or a vacated entry (released big-framed object)
-            return Verdict(kind or USE_AFTER_FREE, addr, None, operand)
+            return Verdict(kind or USE_AFTER_FREE, addr)
         obj_base = record.obj_base
         if addr < obj_base:
-            kind = UNDERFLOW
-        elif addr + size > obj_base + record.raw_size:
-            kind = OVERFLOW
-        else:
-            return Verdict(OK, addr, record.id)
-        return Verdict(kind, addr, record.id, operand)
+            return Verdict(UNDERFLOW, addr, record.id)
+        if addr + req.access_size > obj_base + record.raw_size:
+            return Verdict(OVERFLOW, addr, record.id)
+        # tuple.__new__ skips the named tuple's Python-level __new__
+        return _new(Verdict, (OK, addr, record.id, None))
 
-    # -- checks -------------------------------------------------------
-
-    def check_access(self, req: AccessRequest) -> Verdict:
-        """Verify one load or store; untracked addresses pass unchecked.
-
-        The verdict's address is the untagged one, for the caller to use.
-        """
-        return self._check(req.tagged, req.access_size)
+    def _operand(self, tagged: int, n: int, operand: str) -> Verdict:
+        """check_access of one copy operand, labelled only on a violation."""
+        verdict = self.check_access(AccessRequest(tagged, n))
+        return verdict._replace(operand=operand) if verdict.is_violation else verdict
 
     def check_arith(self, old: int, new: int) -> Verdict:
         """Frame-escape test for a pointer arithmetic step.
@@ -125,10 +124,10 @@ class Checker:
             raise ValueError("byte count must be non-negative")
         if n == 0:
             return Verdict(OK)
-        dst_v = self._check(dst, n, "dst")
+        dst_v = self._operand(dst, n, "dst")
         if dst_v.is_violation:
             return dst_v
-        src_v = self._check(src, n, "src")
+        src_v = self._operand(src, n, "src")
         if src_v.is_violation:
             return src_v
         if dst_v.kind is UNTRACKED and src_v.kind is UNTRACKED:
@@ -145,7 +144,7 @@ class Checker:
             raise ValueError("byte count must be non-negative")
         if n == 0:
             return Verdict(OK)
-        return self._check(dst, n, "dst")
+        return self._operand(dst, n, "dst")
 
     def check_strcpy(self, dst: int, src: int, src_strlen: int) -> Verdict:
         """String copy up to the terminator.
@@ -157,7 +156,7 @@ class Checker:
         """
         if src_strlen < 0:
             raise ValueError("string length must be non-negative")
-        return self._check(dst, src_strlen + 1, "dst")
+        return self._operand(dst, src_strlen + 1, "dst")
 
     def check_free(self, tagged: int) -> Verdict:
         """Deallocation check and release, delegated to the arena."""

@@ -24,7 +24,14 @@ from .harness import (
 )
 from .metadata import EntryConflictError
 
-def _auto_int(value: str) -> int:
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):
+        """One `frameguard: ...` line and exit 2, as for any unusable input."""
+        self.exit(2, f"frameguard: {message} (see {self.prog} --help)\n")
+
+
+def integer(value: str) -> int:
     return int(value, 0)
 
 
@@ -43,7 +50,7 @@ def _build(cls, args: argparse.Namespace):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="frameguard",
         description="Frame-tagged pointer checking over allocation/access traces.",
     )
@@ -52,30 +59,30 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="replay a trace file and report verdicts")
     run.add_argument("trace", help="trace file path, or - for stdin")
     run.add_argument("--json", action="store_true", help="emit the JSON report")
-    run.add_argument("--arena-base", type=_auto_int)
-    run.add_argument("--arena-size", type=_auto_int)
-    run.add_argument("--pad", dest="pad_bytes", type=_auto_int,
+    run.add_argument("--arena-base", type=integer)
+    run.add_argument("--arena-size", type=integer)
+    run.add_argument("--pad", dest="pad_bytes", type=integer,
                      help="fake padding bytes used when framing allocations")
     run.add_argument("--arith-checks", action="store_true",
                      help="enable frame-escape checks at ptr_add")
     run.add_argument("--fail-on-violation", action="store_true",
                      help="exit nonzero when any violation was detected")
-    run.add_argument("--jitter", dest="placement_jitter", type=_auto_int,
+    run.add_argument("--jitter", dest="placement_jitter", type=integer,
                      help="max random gap between objects, in 16-byte units")
-    run.add_argument("--seed", dest="placement_seed", type=_auto_int,
+    run.add_argument("--seed", dest="placement_seed", type=integer,
                      help="placement seed used when --jitter is set")
     run.set_defaults(func=_cmd_run, **_defaults(EngineConfig))
 
     gen = sub.add_parser("gen", help="generate a synthetic workload trace")
-    gen.add_argument("--seed", type=_auto_int, required=True)
-    gen.add_argument("--objects", type=_auto_int, required=True)
+    gen.add_argument("--seed", type=integer, required=True)
+    gen.add_argument("--objects", type=integer, required=True)
     gen.add_argument("--faults", dest="fault_rate", type=float,
                      help="per-access probability of an injected fault")
     gen.add_argument("--fault-kinds", type=_kinds,
                      help="comma list: overflow,underflow,use_after_free,double_free")
     gen.add_argument("--sizes", dest="size_dist",
                      help="fixed:N | uniform:LO:HI | loguniform:LO:HI")
-    gen.add_argument("--accesses", dest="accesses_per_object", type=_auto_int,
+    gen.add_argument("--accesses", dest="accesses_per_object", type=integer,
                      help="accesses per object")
     gen.add_argument("--edge-probe", action="store_true",
                      help="add one-past-end and one-before-base stores per object")

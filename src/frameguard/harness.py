@@ -50,11 +50,12 @@ import random
 from dataclasses import asdict, dataclass
 from typing import Iterable, NamedTuple, Sequence
 
-from .arena import DEFAULT_ARENA_BASE, DEFAULT_ARENA_SIZE, Arena
+from .arena import DEFAULT_ARENA_BASE, DEFAULT_ARENA_SIZE, DEFAULT_PAD_BYTES, Arena
 from .checker import AccessRequest, Checker
+from .messages import cut
 from .metadata import HEADER_SIZE, _U32_MAX
 from .tagging import TagError, rebase
-from .verdicts import Verdict, VerdictKind
+from .verdicts import OK, Verdict, VerdictKind
 
 MAX_WORKLOAD_OBJECT_SIZE = 1 << 20
 
@@ -65,20 +66,6 @@ class TraceSyntaxError(ValueError):
     def __init__(self, line_no: int, reason: str):
         super().__init__(f"line {line_no}: {reason}")
         self.line_no = line_no
-
-
-def _cut(tok: str | int, quoted: bool = True) -> str:
-    """tok as an error message shows it: past 40 characters, cut, with its
-    length.  An int shows as its decimal string would, unquoted, but only
-    its leading digits are converted, so no int is too long to show."""
-    if isinstance(tok, int):
-        # the digits past the first 40 or more, dropped before converting
-        dropped = max(0, int((abs(tok).bit_length() - 1) * math.log10(2)) - 40)
-        head = ("-" if tok < 0 else "") + str(abs(tok) // 10 ** dropped)
-        head, length = head[:40], len(head) + dropped
-    else:
-        head, length = (repr(tok[:40]) if quoted else tok[:40]), len(tok)
-    return head if length <= 40 else f"{head}... ({length} characters)"
 
 
 class TraceEvent(NamedTuple):
@@ -92,7 +79,7 @@ class TraceEvent(NamedTuple):
 class EngineConfig:
     arena_base: int = DEFAULT_ARENA_BASE
     arena_size: int = DEFAULT_ARENA_SIZE
-    pad_bytes: int = 1
+    pad_bytes: int = DEFAULT_PAD_BYTES
     arith_checks: bool = False        # frame-escape checks at ptr_add
     placement_jitter: int = 0         # max random inter-object gap, 16-byte units
     placement_seed: int = 0
@@ -187,7 +174,7 @@ def parse_trace(source: str | Iterable[str]) -> list[TraceEvent]:
         try:
             op, n_ids, fewest, most, fields, defines, scope = rows[toks[0]]
         except KeyError:
-            raise TraceSyntaxError(line_no, f"unknown operation {_cut(toks[0])}") from None
+            raise TraceSyntaxError(line_no, f"unknown operation {cut(toks[0])}") from None
         n = len(toks)
         if n != most:
             if n != fewest:
@@ -204,21 +191,21 @@ def parse_trace(source: str | Iterable[str]) -> list[TraceEvent]:
                 name = defined[toks[1]]
                 name2 = defined[toks[2]] if n_ids == 2 else ""
         except KeyError as e:
-            raise TraceSyntaxError(line_no, f"undefined id {_cut(e.args[0])}") from None
+            raise TraceSyntaxError(line_no, f"undefined id {cut(e.args[0])}") from None
         args = ()
         for i, field, lo, hi, low, high in fields:
             tok = toks[i]
             try:
                 v = int(tok, 0)
             except ValueError:
-                raise TraceSyntaxError(line_no, f"{field} {_cut(tok)} is not an integer") from None
+                raise TraceSyntaxError(line_no, f"{field} {cut(tok)} is not an integer") from None
             if low is not None and v < low or high is not None and v > high:
-                raise TraceSyntaxError(line_no, f"{field} {_cut(tok, False)} outside [{lo}, {hi}]")
+                raise TraceSyntaxError(line_no, f"{field} {cut(tok, False)} outside [{lo}, {hi}]")
             args += (v,)
         # the product is the header's 32-bit size field
         if op == "alloc_array" and args[0] * args[1] > _U32_MAX:
             raise TraceSyntaxError(
-                line_no, f"count * elem_size {_cut(args[0] * args[1])} outside [1, {_U32_MAX}]")
+                line_no, f"count * elem_size {cut(args[0] * args[1])} outside [1, {_U32_MAX}]")
         depth += scope
         if depth < 0:
             raise TraceSyntaxError(line_no, "scope_end without matching scope_begin")
@@ -258,76 +245,70 @@ def run_trace(events: Sequence[TraceEvent], config: EngineConfig | None = None) 
     """Execute events in order; violations are data, never exceptions."""
     config = config or EngineConfig()
     rng = random.Random(config.placement_seed) if config.placement_jitter else None
-    arena = Arena(
-        base=config.arena_base,
-        size=config.arena_size,
-        pad_bytes=config.pad_bytes,
-        placement_jitter=config.placement_jitter,
-        rng=rng,
-    )
+    arena = Arena(base=config.arena_base, size=config.arena_size, pad_bytes=config.pad_bytes,
+                  placement_jitter=config.placement_jitter, rng=rng)
     checker = Checker(arena)
-    check_access = checker.check_access
-    copy_checks = {
-        "memcpy": checker.check_memcpy,
-        "strcpy": checker.check_strcpy,
-        "strncpy": checker.check_strncpy,
-    }
+    check_access, check_free = checker.check_access, checker.check_free
+    copy_checks = {"memcpy": checker.check_memcpy, "strcpy": checker.check_strcpy,
+                   "strncpy": checker.check_strncpy}
     bindings: dict[str, object] = {}
     cursors: dict[int, int] = {}    # header address -> pointer ptr_add moved
     scopes: list[list] = []
     counts = dict.fromkeys(VerdictKind, 0)
+    oks = 0     # ok verdicts of load, store and free, kept apart from counts
     violations: list[tuple[int, str]] = []
 
     def _record(name: str):
         try:
             return bindings[name]
         except KeyError:
-            raise TraceRuntimeError(f"id {_cut(name)} used before allocation") from None
+            raise TraceRuntimeError(f"id {cut(name)} used before allocation") from None
 
-    for index, ev in enumerate(events):
+    for index, (op, name, name2, args) in enumerate(events):
         verdict: Verdict | None = None
-        op = ev.op
         if op in ("load", "store", "ptr_add"):
             # the hot path: binding lookup inline (a record is always
             # true, and _record raises for an unbound id)
-            name = ev.id
             record = bindings.get(name) or _record(name)
-            offset = ev.args[0]
             try:    # rebase is the one range check of the address
-                tagged = rebase(record.tagged, record.obj_base + offset)
+                tagged = rebase(record.tagged, record.obj_base + args[0])
             except TagError:
                 raise TraceRuntimeError(
-                    f"offset {_cut(offset)} moves {_cut(name)} outside the 48-bit space") from None
+                    f"offset {cut(args[0])} moves {cut(name)} outside the 48-bit space") from None
             if op == "ptr_add":
                 if config.arith_checks:
                     verdict = checker.check_arith(
                         cursors.get(record.header_addr, record.tagged), tagged)
                 cursors[record.header_addr] = tagged
             else:
-                verdict = check_access(AccessRequest(tagged, ev.args[1]))
+                verdict = check_access(AccessRequest(tagged, args[1]))
+                if verdict[0] is OK:
+                    oks += 1
+                    continue
         elif op in ("alloc", "alloc_array"):
-            scope_id = len(scopes) - 1 if scopes else None
-            if op == "alloc":
-                record = arena.alloc(ev.args[0], type_id=ev.args[1], scope_id=scope_id)
-            else:
-                record = arena.alloc_array(ev.args[0], ev.args[1], scope_id=scope_id)
-            bindings[ev.id] = record
+            # (size, type_id) and (count, elem_size) are both positional
+            record = (arena.alloc if op == "alloc" else arena.alloc_array)(
+                *args, scope_id=len(scopes) - 1 if scopes else None)
+            bindings[name] = record
             if scopes:
                 scopes[-1].append(record)
         elif op == "free":
-            verdict = checker.check_free(_record(ev.id).tagged)
+            verdict = check_free(_record(name).tagged)
+            if verdict[0] is OK:
+                oks += 1
+                continue
         elif op == "realloc":
-            record = _record(ev.id)
-            verdict, new_record = arena.realloc(record.tagged, ev.args[0])
+            record = _record(name)
+            verdict, new_record = arena.realloc(record.tagged, args[0])
             if new_record is not None:
-                bindings[ev.id] = new_record
+                bindings[name] = new_record
                 sid = new_record.scope_id
                 if sid is not None:
                     scopes[sid].append(new_record)
         elif op in copy_checks:
-            dst, src = _record(ev.id), _record(ev.id2)
+            dst, src = _record(name), _record(name2)
             verdict = copy_checks[op](cursors.get(dst.header_addr, dst.tagged),
-                                      cursors.get(src.header_addr, src.tagged), ev.args[0])
+                                      cursors.get(src.header_addr, src.tagged), args[0])
         elif op == "scope_begin":
             scopes.append([])
         elif op == "scope_end":
@@ -335,13 +316,14 @@ def run_trace(events: Sequence[TraceEvent], config: EngineConfig | None = None) 
                 raise TraceRuntimeError("scope_end without matching scope_begin")
             arena.scope_end(scopes.pop())
         else:
-            raise TraceRuntimeError(f"unknown operation {_cut(op)}")
+            raise TraceRuntimeError(f"unknown operation {cut(op)}")
         if verdict is not None:
             # counted by member: a member's .value read is slow per event
             kind = verdict.kind
             counts[kind] += 1
             if verdict.is_violation:
                 violations.append((index, kind.value))
+    counts[OK] += oks
 
     stats = arena.stats()
     header_bytes = HEADER_SIZE * stats.total_allocations
@@ -352,12 +334,8 @@ def run_trace(events: Sequence[TraceEvent], config: EngineConfig | None = None) 
         event_count=len(events),
         verdicts={kind.value: n for kind, n in counts.items()},
         checks=asdict(checker.counters),
-        overhead={
-            "header_bytes": header_bytes,
-            "table_bytes": table_bytes,
-            "payload_bytes": payload_bytes,
-            "ratio": ratio,
-        },
+        overhead={"header_bytes": header_bytes, "table_bytes": table_bytes,
+                  "payload_bytes": payload_bytes, "ratio": ratio},
         violations=violations,
         live_stats=asdict(stats),
     )

@@ -17,14 +17,16 @@ virtual, reserved and never allocated: only entries ever set are stored.
 DivisionTable.header_lookup is the only code that turns a tagged
 pointer into a header address, and Arena.lookup is its only caller: it
 decides what the resolved header means for the pointer (untracked, out
-of frame, or the record there).  The checker's access checks and the
-arena's free and realloc all go through Arena.lookup, so the slot
-arithmetic, the entry read and their interpretation are written once.
+of frame, or the record there).  Checker.check_access, which the copy
+checks also go through, and the arena's free and realloc all call
+Arena.lookup, so the slot arithmetic, the entry read and their
+interpretation are written once.
 """
 
 from __future__ import annotations
 
 from .frame_math import ADDRESS_MASK, SLOT_SIZE
+from .messages import cut
 # decode is unused, kept only because perfbench/layers.py patches it here
 from .tagging import MAX_BIG_TAG, MIN_BIG_TAG, TAG_MASK, TAG_SHIFT, TagError, decode  # noqa: F401
 
@@ -52,9 +54,9 @@ class EntryConflictError(RuntimeError):
 def check_header_fields(size: int, type_id: int) -> None:
     """Reject a size or type id that does not fit its 32-bit header field."""
     if not 0 <= size <= _U32_MAX:
-        raise ValueError(f"header size {size} not a 32-bit value")
+        raise ValueError(f"header size {cut(size)} not a 32-bit value")
     if not 0 <= type_id <= _U32_MAX:
-        raise ValueError(f"type id {type_id} not a 32-bit value")
+        raise ValueError(f"type id {cut(type_id)} not a 32-bit value")
 
 
 class DivisionTable:

@@ -72,6 +72,58 @@ def lookup_oracle(arena, tagged: int):
     return None, record
 
 
+def check_access_oracle(arena, tagged: int, size: int, operand: str | None = None) -> tuple:
+    """Reference Checker.check_access verdict, as a plain (kind, address,
+    alloc_id, operand) tuple, from lookup_oracle and the bounds rule in
+    checker.py's docstring.  operand labels a violation only, as the copy
+    checks label the operand they judge."""
+    kind, record = lookup_oracle(arena, tagged)
+    p = decode(tagged)[2]
+    if kind is VerdictKind.UNTRACKED:
+        return kind, tagged, None, None
+    if kind is None and record is None:
+        kind = VerdictKind.USE_AFTER_FREE       # a vacated big-frame entry
+    if kind is not None:
+        return kind, p, None, operand
+    b, z = record.obj_base, record.raw_size
+    if p < b:
+        return VerdictKind.UNDERFLOW, p, record.id, operand
+    if p + size - 1 > b + z - 1:
+        return VerdictKind.OVERFLOW, p, record.id, operand
+    return VerdictKind.OK, p, record.id, None
+
+
+def copy_oracle(arena, op: str, dst: int, src: int, n: int) -> tuple:
+    """Reference verdict of Checker.check_<op> for memcpy, strncpy and
+    memset (n bytes) and strcpy (a string of length n): the destination
+    is judged first, the source only by memcpy and strncpy, and a copy of
+    two untracked operands or of no bytes has no address."""
+    none = (None, None, None)
+    if op == "strcpy":
+        return check_access_oracle(arena, dst, n + 1, "dst")
+    if n == 0:
+        return (VerdictKind.OK,) + none
+    passing = (VerdictKind.OK, VerdictKind.UNTRACKED)
+    verdict = check_access_oracle(arena, dst, n, "dst")
+    if op == "memset" or verdict[0] not in passing:
+        return verdict
+    other = check_access_oracle(arena, src, n, "src")
+    if other[0] not in passing:
+        return other
+    if verdict[0] is other[0] is VerdictKind.UNTRACKED:
+        return (VerdictKind.UNTRACKED,) + none
+    return (VerdictKind.OK,) + none
+
+
+def free_oracle(arena, tagged: int) -> tuple:
+    """Reference Arena.free verdict from lookup_oracle: a live record is
+    ok, a dead one or a vacated entry a double free."""
+    kind, record = lookup_oracle(arena, tagged)
+    if kind is None and (record is None or not record.live):
+        kind = VerdictKind.DOUBLE_FREE
+    return kind or VerdictKind.OK, decode(tagged)[2], record.id if record else None, None
+
+
 def _shown(tok: str, quoted: bool = True) -> str:
     """A refusal repeats at most the first 40 characters of a token,
     then gives its length."""

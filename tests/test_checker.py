@@ -12,7 +12,7 @@ from frameguard.tagging import (
     FLAG_BIT, MAX_BIG_TAG, MIN_BIG_TAG, TAG_MASK, TAG_SHIFT, TagError, decode, encode_big, rebase,
     untag)
 from frameguard.verdicts import Verdict, VerdictKind
-from oracles import in_frame, is_untagged
+from oracles import check_access_oracle, copy_oracle, free_oracle, in_frame, is_untagged
 
 BASE = DEFAULT_ARENA_BASE
 
@@ -353,6 +353,61 @@ def test_resolver_users_agree(case, access, free, realloc, lookup):
     verdict, new = arena.realloc(tagged, 64)
     assert verdict.kind is realloc
     assert (new is not None) == (realloc is VerdictKind.OK)
+
+
+@st.composite
+def _engine_and_pointers(draw):
+    """A fresh engine with small- and big-framed objects, some of them
+    freed (a big one's entry is then vacant), and (pointer, byte count)
+    pairs: near an object, in another slot or frame, outside the arena,
+    or untracked."""
+    arena, ck = setup()
+    sizes = st.sampled_from([1, 40, 3000, 1 << 16, 1 << 17]) | st.integers(1, 1 << 17)
+    records = [arena.alloc(size) for size in draw(st.lists(sizes, min_size=1, max_size=5))]
+    for r in records:
+        if draw(st.booleans()):
+            arena.free(r.tagged)
+    pointers = []
+    for _ in range(draw(st.integers(1, 6))):
+        r = draw(st.sampled_from(records))
+        where = draw(st.sampled_from(["near", "far", "above", "below", "plain"]))
+        if where == "near":
+            addr = r.obj_base + draw(st.integers(-32, r.raw_size + 32))
+        elif where == "far":
+            addr = r.obj_base + draw(st.sampled_from([-1, 1])) * draw(st.integers(1 << 15, 1 << 20))
+        elif where == "above":
+            addr = arena.base + arena.size + draw(st.integers(0, 1 << 20))
+        else:
+            addr = arena.base - draw(st.integers(1, 1 << 20))
+        p = draw(_addresses) if where == "plain" else rebase(r.tagged, addr)
+        pointers.append((p, draw(st.integers(0, 70))))
+    return arena, ck, pointers
+
+
+@settings(max_examples=200, deadline=None)
+@given(_engine_and_pointers())
+def test_whole_verdicts_agree_with_the_reference(case):
+    # every field of every verdict, including those built with
+    # tuple.__new__, which must still be Verdicts
+    arena, ck, pointers = case
+
+    def agrees(verdict, expected):
+        assert type(verdict) is Verdict and tuple(verdict) == expected
+        assert verdict.kind is expected[0]
+        assert verdict.is_violation is (verdict.kind not in (VerdictKind.OK, VerdictKind.UNTRACKED))
+        relabelled = verdict._replace(operand="x")
+        assert type(relabelled) is Verdict and relabelled == expected[:3] + ("x",)
+
+    for p, n in pointers:
+        if n:
+            agrees(ck.check_access(AccessRequest(p, n)), check_access_oracle(arena, p, n))
+        agrees(ck.check_memset(p, n), copy_oracle(arena, "memset", p, p, n))
+        for q, _ in pointers:
+            for op in ("memcpy", "strncpy", "strcpy"):
+                agrees(getattr(ck, f"check_{op}")(p, q, n), copy_oracle(arena, op, p, q, n))
+    for p, _ in pointers:
+        expected = free_oracle(arena, p)   # before the free changes the arena
+        agrees(arena.free(p), expected)
 
 
 def test_verdict_is_an_immutable_named_tuple():

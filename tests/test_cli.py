@@ -107,6 +107,21 @@ def test_bad_trace_exits_2_with_line(tmp_path, capsys):
     assert "missing.txt" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["run", "t.txt", "--pad", "x"],
+     "argument --pad: invalid integer value: 'x' (see frameguard run --help)"),
+    (["gen", "--seed", "3"],
+     "the following arguments are required: --objects (see frameguard gen --help)"),
+    (["run"], "the following arguments are required: trace (see frameguard run --help)"),
+], ids=["bad_pad", "gen_without_objects", "bare_run"])
+def test_argument_errors_exit_2_with_one_line(argv, message, capsys):
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"frameguard: {message}\n" and captured.out == ""
+
+
 def test_arena_exhaustion_exits_2(tmp_path, capsys):
     trace = tmp_path / "t.txt"
     trace.write_text("alloc a 200000\nalloc b 200000\n")

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from frameguard.harness import (
     _GRAMMAR,
-    _cut,
     EngineConfig,
     TraceEvent,
     TraceRuntimeError,
@@ -22,6 +21,7 @@ from frameguard.harness import (
     parse_trace,
     run_trace,
 )
+from frameguard.messages import cut
 from oracles import trace_refusal_oracle
 
 
@@ -200,7 +200,7 @@ _wide_ints = st.integers(0, 30000).flatmap(lambda bits: st.integers(-(1 << bits)
 def test_an_int_is_cut_as_its_decimal_string_would_be(value):
     # Decimal's string has no digit limit, so it serves as the reference
     digits = str(Decimal(value))
-    assert _cut(value) == (digits if len(digits) <= 40
+    assert cut(value) == (digits if len(digits) <= 40
                            else f"{digits[:40]}... ({len(digits)} characters)")
 
 
@@ -584,6 +584,23 @@ def test_rebinding_an_id_resets_its_cursor(rebind):
 def test_events_parse_trace_refuses_are_runtime_errors(event, message):
     # parse_trace refuses such a line, so the event is built by hand
     with pytest.raises(TraceRuntimeError) as e:
+        run_trace([TraceEvent("alloc", id="a", args=(40, 0)), event])
+    assert str(e.value) == message
+
+
+_HUGE_SIZE = f"header size 1{'0' * 39}... (5001 characters) not a 32-bit value"
+
+
+@pytest.mark.parametrize("event, message", [
+    (TraceEvent("alloc", id="b", args=(10 ** 5000, 0)), _HUGE_SIZE),
+    (TraceEvent("alloc", id="b", args=(8, 10 ** 5000)),
+     f"type id 1{'0' * 39}... (5001 characters) not a 32-bit value"),
+    (TraceEvent("alloc_array", id="b", args=(10 ** 5000, 1)), _HUGE_SIZE),
+    (TraceEvent("realloc", id="a", args=(10 ** 5000,)), _HUGE_SIZE),
+], ids=["alloc", "alloc_type_id", "alloc_array", "realloc"])
+def test_arena_refuses_a_huge_size_with_a_bounded_message(event, message):
+    # parse_trace bounds these fields, so the event is built by hand
+    with pytest.raises(ValueError) as e:
         run_trace([TraceEvent("alloc", id="a", args=(40, 0)), event])
     assert str(e.value) == message
 
