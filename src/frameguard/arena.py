@@ -3,8 +3,9 @@
 The arena owns placement and the allocation lifecycle: it writes a
 16-byte header below each object, computes the wrapper frame over the
 whole region (header through object end plus the fake padding), tags
-the returned pointer, and keeps the division table current.  The fake
-padding is imaginary: it widens the frame so one-past-end pointers stay
+the returned pointer, and keeps the division table current, naming a
+big-framed object's entry by its frame alone.  The fake padding is
+imaginary: it widens the frame so one-past-end pointers stay
 resolvable, but consumes no storage and may overlap a neighbour.
 
 Placement is a 16-aligned bump cursor, optionally with randomized gaps
@@ -19,6 +20,8 @@ in the only record store; the record holds what the header bytes hold
 (raw size and type id).  Arena.lookup is the one place a pointer's
 outcome is decided (untracked, out of frame, or the record at its
 header); the checker and the deallocation paths both build on it.
+metadata.check_header_fields states the header size rule once for
+alloc, alloc_array and realloc.
 
 Violations on the deallocation paths come back as verdicts rather than
 exceptions, so a replay run can continue after errors.  Exceptions are
@@ -34,16 +37,12 @@ from .frame_math import ADDRESS_MASK, SLOT_BITS, WrapperFrame, wrapper_frame
 from .metadata import HEADER_SIZE, ArenaRangeError, DivisionTable, check_header_fields
 # decode is imported only so the traced benchmark run (perfbench/layers.py)
 # finds the name it patches in this module
-from .tagging import TAG_SHIFT, decode, encode_big, encode_small, untag  # noqa: F401
+from .tagging import TAG_SHIFT, decode, encode_big, encode_small  # noqa: F401
 from .verdicts import DOUBLE_FREE, OK, OUT_OF_FRAME, UNTRACKED, Verdict, VerdictKind
 
 DEFAULT_ARENA_BASE = 1 << 44          # 0x0000_1000_0000_0000
 DEFAULT_ARENA_SIZE = 1 << 28
 DEFAULT_PAD_BYTES = 1                 # FRAMER's fake padding: one-past-end pointers resolve
-
-# Arena.lookup's answers that carry no record, built once
-_UNTRACKED = (UNTRACKED, None)
-_OUT_OF_FRAME = (OUT_OF_FRAME, None)
 
 
 class ArenaExhausted(RuntimeError):
@@ -126,8 +125,7 @@ class Arena:
         if frame.n <= SLOT_BITS:
             tagged = encode_small(header_addr, obj_base)
         else:
-            division, slot = self.table.entry_index(obj_base, frame.n)
-            self.table.set_entry(division, slot, header_addr)
+            self.table.set_entry(obj_base, frame.n, header_addr)
             tagged = encode_big(frame.n, obj_base)
         self._cursor = end
         record = AllocationRecord(len(self._by_header) + 1, header_addr, obj_base, raw_size,
@@ -143,8 +141,6 @@ class Arena:
         The tagged pointer (record.tagged) addresses the object base,
         which always sits HEADER_SIZE bytes above the header.
         """
-        if size < 1:
-            raise ValueError("allocation size must be at least 1")
         check_header_fields(size, type_id)
         return self._register(size, HEADER_SIZE + size, type_id, scope_id)
 
@@ -172,14 +168,14 @@ class Arena:
         placement and the old big-frame entry (if any) is vacated.  The
         input is judged as free judges it: a stale pointer yields a
         double-free verdict, one that left its frame an out-of-frame
-        verdict, and neither reallocates.
+        verdict, and neither reallocates.  A size the header cannot
+        hold raises before the pointer is judged.
         """
-        if new_size < 1:
-            raise ValueError("allocation size must be at least 1")
+        check_header_fields(new_size)
         fail, old = self._resolve_live(tagged)
         if fail is not None:
             return fail, None
-        new = self.alloc(new_size, type_id=old.type_id, scope_id=old.scope_id)
+        new = self._register(new_size, HEADER_SIZE + new_size, old.type_id, old.scope_id)
         # payload would be copied up to min(old, new) here; contents are
         # not modelled, only geometry and metadata
         self._release(old)
@@ -216,16 +212,16 @@ class Arena:
         Callers judge bounds and liveness from the record.
         """
         if not tagged >> TAG_SHIFT:
-            return _UNTRACKED
+            return UNTRACKED, None
         try:
             record = self._by_header.get(self.table.header_lookup(tagged))
         except ArenaRangeError:
-            # the frame base left the arena entirely
-            return _OUT_OF_FRAME
+            # the frame holds no arena byte
+            return OUT_OF_FRAME, None
         if record is None and tagged >> 63:
             # anywhere in its own slot a small-framed pointer finds its
             # header, live or dead; no header means it left the slot
-            return _OUT_OF_FRAME
+            return OUT_OF_FRAME, None
         return None, record
 
     def _resolve_live(self, tagged: int) -> tuple[Verdict | None, AllocationRecord | None]:
@@ -235,15 +231,14 @@ class Arena:
         if kind is None and (record is None or not record.live):
             kind = DOUBLE_FREE
         if kind is not None:
-            return Verdict(kind, address=untag(tagged),
+            return Verdict(kind, address=tagged & ADDRESS_MASK,
                            alloc_id=record.id if record else None), None
         return None, record
 
     def _release(self, record: AllocationRecord) -> None:
         n = record.frame.n
         if n > SLOT_BITS:
-            division, slot = self.table.entry_index(record.obj_base, n)
-            self.table.reset_entry(division, slot)
+            self.table.reset_entry(record.obj_base, n)
         record.live = False
         # the header bytes stay in place, as they would in a real heap
 

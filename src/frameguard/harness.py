@@ -452,14 +452,11 @@ def gen_workload(seed: int, params: WorkloadParams) -> tuple[list[TraceEvent], d
             access = rng.randint(1, min(8, size - offset))
             op = "store" if rng.random() < 0.5 else "load"
             seq.append((TraceEvent(op, id=name, args=(offset, access)), None))
-        for kind in spatial:
-            if kind == "overflow":
-                seq.append((TraceEvent("store", id=name, args=(size, 1)), "overflow"))
-            else:
-                seq.append((TraceEvent("store", id=name, args=(-1, 1)), "underflow"))
         if params.edge_probe:
-            seq.append((TraceEvent("store", id=name, args=(size, 1)), "overflow"))
-            seq.append((TraceEvent("store", id=name, args=(-1, 1)), "underflow"))
+            spatial += SPATIAL_FAULT_KINDS
+        for kind in spatial:
+            offset = size if kind == "overflow" else -1
+            seq.append((TraceEvent("store", id=name, args=(offset, 1)), kind))
         if temporal:
             seq.append((TraceEvent("free", id=name), None))
             for kind in temporal:

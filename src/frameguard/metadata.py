@@ -8,11 +8,13 @@ entry in the division table.
 
 The table divides the arena into 2**16-byte divisions and keeps one
 48-entry array per division.  Entry i of a division's array serves the
-(16+i)-frame based at that division and holds the header address of the
-single live object wrapped by that frame, or zero when vacant.  Zero
-doubles as the release marker, which is what makes double frees and
-use-after-free of big-framed objects observable.  The full table is
-virtual, reserved and never allocated: only entries ever set are stored.
+(16+i)-frame based at that division (or, in the first division, below
+the arena base) and holds the header address of the single live object
+wrapped by that frame, or zero when vacant.  Zero doubles as the
+release marker, which is what makes double frees and use-after-free of
+big-framed objects observable.  The full table is virtual, reserved and
+never allocated: only entries ever set are stored.  Callers name an
+entry by its frame (addr, n); only entry_index knows the table layout.
 
 DivisionTable.header_lookup is the only code that turns a tagged
 pointer into a header address, and Arena.lookup is its only caller: it
@@ -51,9 +53,11 @@ class EntryConflictError(RuntimeError):
     """
 
 
-def check_header_fields(size: int, type_id: int) -> None:
-    """Reject a size or type id that does not fit its 32-bit header field."""
-    if not 0 <= size <= _U32_MAX:
+def check_header_fields(size: int, type_id: int = 0) -> None:
+    """Reject a size outside [1, 2**32) or a type id outside [0, 2**32)."""
+    if size < 1:
+        raise ValueError("allocation size must be at least 1")
+    if size > _U32_MAX:
         raise ValueError(f"header size {cut(size)} not a 32-bit value")
     if not 0 <= type_id <= _U32_MAX:
         raise ValueError(f"type id {cut(type_id)} not a 32-bit value")
@@ -74,47 +78,50 @@ class DivisionTable:
         self.arena_base = arena_base
         self.arena_size = arena_size
         self.division_count = arena_size >> DIVISION_BITS
-        self._entries: dict[int, int] = {}   # division * 48 + slot -> header
+        self._entries: dict[int, int] = {}   # entry_index key -> header
 
-    def entry_index(self, addr: int, n: int) -> tuple[int, int]:
-        """(division, slot) serving the n-frame around untagged addr.
+    def entry_index(self, addr: int, n: int) -> int:
+        """Key of the entry serving the n-frame around untagged addr.
 
-        The frame base falls out of zeroing the low n bits; its
-        division is the frame base's distance from the arena base in
-        2**16 units, and the slot within the division array is n - 16.
-        A log outside [MIN_BIG_TAG, MAX_BIG_TAG] is no big tag: TagError.
+        The frame base falls out of zeroing the low n bits; the entry
+        lies in its division, or in the first division for a frame that
+        begins below the arena base but holds arena bytes (the base is
+        2**16-aligned, so no other n-frame begins there).  The slot is
+        n - 16.  A frame that holds no arena byte raises ArenaRangeError;
+        a log outside [MIN_BIG_TAG, MAX_BIG_TAG] is no big tag: TagError.
         """
         if not MIN_BIG_TAG <= n <= MAX_BIG_TAG:
             raise TagError(f"frame log {n} outside [{MIN_BIG_TAG}, {MAX_BIG_TAG}]")
-        framebase = addr & ~((1 << n) - 1)
-        if framebase < self.arena_base:
-            raise ArenaRangeError(f"frame base {framebase:#x} below arena base {self.arena_base:#x}")
+        framebase = addr & -(1 << n)
         division = (framebase - self.arena_base) >> DIVISION_BITS
+        if division < 0:
+            if framebase + (1 << n) <= self.arena_base:
+                raise ArenaRangeError(
+                    f"frame base {framebase:#x} below arena base {self.arena_base:#x}")
+            division = 0
         if division >= self.division_count:
             raise ArenaRangeError(f"frame base {framebase:#x} beyond the arena")
-        return division, n - DIVISION_BITS
+        return division * ENTRIES_PER_DIVISION + n - DIVISION_BITS
 
-    def get_entry(self, division: int, slot: int) -> int:
-        return self._entries.get(division * ENTRIES_PER_DIVISION + slot, 0)
+    def get_entry(self, addr: int, n: int) -> int:
+        return self._entries.get(self.entry_index(addr, n), 0)
 
-    def set_entry(self, division: int, slot: int, header_addr: int) -> None:
+    def set_entry(self, addr: int, n: int, header_addr: int) -> None:
         """Record a big-framed object's header; the entry must be vacant."""
-        idx = division * ENTRIES_PER_DIVISION + slot
-        occupant = self._entries.get(idx, 0)
+        key = self.entry_index(addr, n)
+        occupant = self._entries.get(key, 0)
         if occupant:
-            raise EntryConflictError(
-                f"entry ({division}, {slot}) already holds header {occupant:#x}; "
-                f"refused {header_addr:#x}"
-            )
-        self._entries[idx] = header_addr
+            raise EntryConflictError(f"entry {divmod(key, ENTRIES_PER_DIVISION)} already holds "
+                                     f"header {occupant:#x}; refused {header_addr:#x}")
+        self._entries[key] = header_addr
 
-    def reset_entry(self, division: int, slot: int) -> int:
-        """Vacate an entry and return its prior content (zero if already vacant)."""
-        idx = division * ENTRIES_PER_DIVISION + slot
-        prior = self._entries.get(idx, 0)
+    def reset_entry(self, addr: int, n: int) -> int:
+        """Vacate the n-frame's entry and return its prior content (zero if already vacant)."""
+        key = self.entry_index(addr, n)
+        prior = self._entries.get(key, 0)
         if prior:
             # a never-set entry stays absent and out of touched_bytes
-            self._entries[idx] = 0
+            self._entries[key] = 0
         return prior
 
     def header_lookup(self, tagged: int) -> int:
@@ -123,7 +130,7 @@ class DivisionTable:
         flag 1: slot base plus the tagged offset, pure arithmetic.
         flag 0 with tag in [16, 48]: the division-array entry content;
         zero means the frame's object was released (or never existed).
-        A frame base outside the arena raises ArenaRangeError: the
+        A frame that holds no arena byte raises ArenaRangeError: the
         pointer left its wrapper frame.  Untagged values are the
         caller's job to filter; malformed tags raise TagError.
         """
@@ -131,8 +138,7 @@ class DivisionTable:
         if tagged >> 63:
             return (addr & -SLOT_SIZE) + ((tagged >> TAG_SHIFT) & TAG_MASK)
         # flag clear: all 16 top bits are the tag, which entry_index checks
-        division, slot = self.entry_index(addr, tagged >> TAG_SHIFT)
-        return self._entries.get(division * ENTRIES_PER_DIVISION + slot, 0)
+        return self._entries.get(self.entry_index(addr, tagged >> TAG_SHIFT), 0)
 
     @property
     def reserved_bytes(self) -> int:

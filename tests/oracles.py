@@ -41,9 +41,28 @@ def wrapper_frame_oracle(lo: int, hi: int) -> int:
     raise AssertionError("unreachable for regions inside the 48-bit space")
 
 
+def entry_key_oracle(table, addr: int, n: int) -> int:
+    """Reference DivisionTable.entry_index from the table's arena bounds.
+
+    The paper's layout: one 48-entry array per 2**16-byte division, the
+    n-frame's entry at n - 16 in the division holding its frame base, or
+    in the first division when the frame begins below the arena base.  A
+    frame that shares no byte with the arena has no entry.
+    """
+    if not MIN_BIG_TAG <= n <= MAX_BIG_TAG:
+        raise TagError(f"frame log {n} outside [{MIN_BIG_TAG}, {MAX_BIG_TAG}]")
+    lo = addr - addr % 2 ** n
+    hi = lo + 2 ** n
+    start, end = table.arena_base, table.arena_base + table.arena_size
+    if max(lo, start) >= min(hi, end):
+        raise ArenaRangeError(f"frame [{lo:#x}, {hi:#x}) holds no arena byte")
+    division = (max(lo, start) - start) // 2 ** 16
+    return 48 * division + (n - 16)
+
+
 def header_lookup_oracle(table, tagged: int) -> int:
-    """Reference DivisionTable.header_lookup built from decode, slot_base
-    and the table's entry_index and get_entry.
+    """Reference DivisionTable.header_lookup built from decode, slot_base,
+    entry_key_oracle and a read of the table's entry dict.
 
     Exists to cross-check the shifts and masks header_lookup splits a
     tag with; it raises what header_lookup raises.
@@ -53,8 +72,7 @@ def header_lookup_oracle(table, tagged: int) -> int:
         return slot_base(addr) + tag
     if not MIN_BIG_TAG <= tag <= MAX_BIG_TAG:
         raise TagError(f"value {tagged:#x} carries no resolvable tag")
-    division, slot = table.entry_index(addr, tag)
-    return table.get_entry(division, slot)
+    return table._entries.get(entry_key_oracle(table, addr, tag), 0)
 
 
 def lookup_oracle(arena, tagged: int):

@@ -43,8 +43,7 @@ def test_alloc_big_sets_entry():
     r = a.alloc(1 << 17)
     assert not r.is_small
     assert r.frame.n >= 17
-    division, slot = a.table.entry_index(r.obj_base, r.frame.n)
-    assert a.table.get_entry(division, slot) == r.header_addr
+    assert a.table.get_entry(r.obj_base, r.frame.n) == r.header_addr
     flag, tag, _ = decode(r.tagged)
     assert flag == 0 and tag == r.frame.n
 
@@ -112,19 +111,16 @@ def test_realloc_small_to_big():
     assert v.kind is VerdictKind.OK
     assert not r.live and r2.live
     assert r.is_small and not r2.is_small
-    division, slot = a.table.entry_index(r2.obj_base, r2.frame.n)
-    assert a.table.get_entry(division, slot) == r2.header_addr
+    assert a.table.get_entry(r2.obj_base, r2.frame.n) == r2.header_addr
 
 
 def test_realloc_big_resets_old_entry():
     a = small_arena()
     r = a.alloc(1 << 17)
-    old_idx = a.table.entry_index(r.obj_base, r.frame.n)
     v, r2 = a.realloc(r.tagged, 1 << 17)
     assert v.kind is VerdictKind.OK
-    assert a.table.get_entry(*old_idx) == 0
-    new_idx = a.table.entry_index(r2.obj_base, r2.frame.n)
-    assert a.table.get_entry(*new_idx) == r2.header_addr
+    assert a.table.get_entry(r.obj_base, r.frame.n) == 0
+    assert a.table.get_entry(r2.obj_base, r2.frame.n) == r2.header_addr
 
 
 def test_realloc_of_freed_handle_is_violation():
@@ -140,12 +136,26 @@ def test_realloc_of_freed_handle_is_violation():
     assert v.kind is VerdictKind.DOUBLE_FREE
 
 
+def test_realloc_refuses_a_bad_size_before_judging_the_pointer():
+    a = small_arena()
+    freed = a.alloc(1 << 17)
+    a.free(freed.tagged)
+    for size in (0, 1 << 32):
+        with pytest.raises(ValueError):
+            a.realloc(freed.tagged, size)
+    live = a.alloc(1 << 17)
+    before = a.stats()
+    with pytest.raises(ValueError):
+        a.realloc(live.tagged, 1 << 32)
+    assert live.live and a.stats() == before
+    assert a.table.get_entry(live.obj_base, live.frame.n) == live.header_addr
+
+
 def test_free_verdicts():
     a = small_arena()
     big = a.alloc(1 << 17)
     assert a.free(big.tagged).kind is VerdictKind.OK
-    division, slot = a.table.entry_index(big.obj_base, big.frame.n)
-    assert a.table.get_entry(division, slot) == 0
+    assert a.table.get_entry(big.obj_base, big.frame.n) == 0
     assert a.free(big.tagged).kind is VerdictKind.DOUBLE_FREE
 
     # small-framed double free is caught from record liveness, an
@@ -161,9 +171,8 @@ def test_scope_end_resets_big_entries():
     a = small_arena()
     big = a.alloc(1 << 17, scope_id=0)
     small = a.alloc(40, scope_id=0)
-    division, slot = a.table.entry_index(big.obj_base, big.frame.n)
     a.scope_end([big, small])
-    assert a.table.get_entry(division, slot) == 0
+    assert a.table.get_entry(big.obj_base, big.frame.n) == 0
     assert not big.live and not small.live
     # already-freed records are left alone
     a.scope_end([big, small])
@@ -275,11 +284,11 @@ def test_largest_arena_is_built_lazily():
     assert a.free(r.tagged).kind is VerdictKind.DOUBLE_FREE
 
     t = DivisionTable(DEFAULT_ARENA_BASE, size)
-    last = t.division_count - 1
-    t.set_entry(last, 47, 0xABC0)
-    assert t.get_entry(last, 47) == 0xABC0
-    assert t.reset_entry(last, 47) == 0xABC0
-    assert t.get_entry(last, 47) == 0
+    last = (DEFAULT_ARENA_BASE + ((t.division_count - 1) << 16), 16)   # the last division
+    t.set_entry(*last, 0xABC0)
+    assert t.get_entry(*last) == 0xABC0
+    assert t.reset_entry(*last) == 0xABC0
+    assert t.get_entry(*last) == 0
     assert t.touched_bytes == 384
 
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frameguard.arena import Arena, DEFAULT_ARENA_BASE
+from frameguard.arena import Arena, ArenaExhausted, DEFAULT_ARENA_BASE
 from frameguard.checker import AccessRequest, Checker
 from frameguard.frame_math import ADDRESS_MASK, SLOT_BITS
 from frameguard.metadata import ArenaRangeError
@@ -128,6 +128,38 @@ def test_intended_referent_kept_across_slot():
     slot = r.header_addr & ~((1 << 15) - 1)
     for addr in range(slot, slot + (1 << 15), 997):
         assert arena.table.header_lookup(rebase(r.tagged, addr)) == r.header_addr
+
+
+def test_full_arenas_at_any_aligned_base_check_every_object():
+    # arenas at random 2**16-aligned bases, filled with random sizes: big
+    # frames that begin below the base keep their entry in the first
+    # division, so each object is placed and judged like any other
+    rng = random.Random(0xBA5E)
+    below_base = 0
+    for _ in range(40):
+        size = 1 << 20
+        base = rng.randrange(1, (ADDRESS_MASK + 1 - size) >> 16) << 16
+        arena = Arena(base=base, size=size, pad_bytes=1)
+        ck = Checker(arena)
+        records = []
+        try:
+            while True:
+                records.append(arena.alloc(int(2 ** rng.uniform(0, 17))))
+        except ArenaExhausted:
+            pass
+        for r in records:
+            assert access(ck, r, 0, 1).kind is VerdictKind.OK
+            assert access(ck, r, r.raw_size - 1, 1).kind is VerdictKind.OK
+            assert access(ck, r, r.raw_size, 1).kind is VerdictKind.OVERFLOW
+            assert access(ck, r, -1, 1).kind is VerdictKind.UNDERFLOW
+            below_base += not r.is_small and r.obj_base & -(1 << r.frame.n) < base
+        for r in records:
+            assert arena.free(r.tagged).kind is VerdictKind.OK
+        for r in records:
+            assert arena.free(r.tagged).kind is VerdictKind.DOUBLE_FREE
+            if not r.is_small:
+                assert access(ck, r, 0, 1).kind is VerdictKind.USE_AFTER_FREE
+    assert below_base > 0
 
 
 def test_arith_in_frame_examples():

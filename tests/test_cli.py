@@ -86,6 +86,18 @@ def test_form_feed_in_stdin_does_not_shift_line_numbers(capsys, monkeypatch):
     assert capsys.readouterr().err == "frameguard: line 2: undefined id 'zz'\n"
 
 
+def test_a_frame_below_the_arena_base_is_served(capsys, monkeypatch):
+    # b's 19-frame [0, 0x80000) begins below the base 0x30000
+    import io
+
+    monkeypatch.setattr(sys, "stdin", io.StringIO("alloc a 0xFFE0\nalloc b 64\nstore b 0 4\n"))
+    argv = ["run", "-", "--arena-base", "0x30000", "--arena-size", "0x100000",
+            "--fail-on-violation"]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert "verdicts:   ok=1 overflow=0" in captured.out and captured.err == ""
+
+
 def test_module_entry_point(tmp_path):
     trace = tmp_path / "t.txt"
     trace.write_text("alloc a 40\nstore a 36 4\n")
