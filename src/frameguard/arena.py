@@ -17,7 +17,8 @@ matches what the checks can and cannot see afterwards.
 
 Each allocation has one AllocationRecord, keyed by its header address
 in the only record store; the record holds what the header bytes hold
-(raw size and type id).  Arena.lookup is the one place a pointer's
+(raw size and type id), and Arena.stats sums the store into the dict of
+totals a run report keeps.  Arena.lookup is the one place a pointer's
 outcome is decided (untracked, out of frame, or the record at its
 header); the checker and the deallocation paths both build on it.
 metadata.check_header_fields states the header size rule once for
@@ -66,18 +67,6 @@ class AllocationRecord:
     @property
     def is_small(self) -> bool:
         return self.frame.n <= SLOT_BITS
-
-
-@dataclass(frozen=True)
-class ArenaStats:
-    live_allocations: int
-    live_header_bytes: int
-    live_payload_bytes: int
-    table_reserved_bytes: int
-    table_touched_bytes: int
-    total_allocations: int
-    total_payload_bytes: int
-    cursor_used_bytes: int
 
 
 class Arena:
@@ -247,15 +236,14 @@ class Arena:
         """Every allocation record, live or dead, in allocation order."""
         return list(self._by_header.values())
 
-    def stats(self) -> ArenaStats:
-        live = [r.raw_size for r in self._by_header.values() if r.live]
-        return ArenaStats(
-            live_allocations=len(live),
-            live_header_bytes=HEADER_SIZE * len(live),
-            live_payload_bytes=sum(live),
-            table_reserved_bytes=self.table.reserved_bytes,
-            table_touched_bytes=self.table.touched_bytes,
-            total_allocations=len(self._by_header),
-            total_payload_bytes=sum(r.raw_size for r in self._by_header.values()),
-            cursor_used_bytes=self._cursor - self.base,
-        )
+    def stats(self) -> dict[str, int]:
+        """Live and cumulative totals: the dict a run report keeps as live_stats."""
+        live = payload = 0
+        for record in self._by_header.values():
+            live += record.live
+            payload += record.raw_size
+        return dict(live_allocations=live, live_header_bytes=HEADER_SIZE * live,
+                    table_reserved_bytes=self.table.reserved_bytes,
+                    table_touched_bytes=self.table.touched_bytes,
+                    total_allocations=len(self._by_header), total_payload_bytes=payload,
+                    cursor_used_bytes=self._cursor - self.base)

@@ -241,8 +241,8 @@ class TraceRuntimeError(RuntimeError):
     """A trace event could not be executed (unknown id, bad address)."""
 
 
-def run_trace(events: Sequence[TraceEvent], config: EngineConfig | None = None) -> RunReport:
-    """Execute events in order; violations are data, never exceptions."""
+def run_trace(events: Iterable[TraceEvent], config: EngineConfig | None = None) -> RunReport:
+    """Execute events from any iterable, in order; violations are data, never exceptions."""
     config = config or EngineConfig()
     rng = random.Random(config.placement_seed) if config.placement_jitter else None
     arena = Arena(base=config.arena_base, size=config.arena_size, pad_bytes=config.pad_bytes,
@@ -264,6 +264,7 @@ def run_trace(events: Sequence[TraceEvent], config: EngineConfig | None = None) 
         except KeyError:
             raise TraceRuntimeError(f"id {cut(name)} used before allocation") from None
 
+    index = -1      # the loop counts the events
     for index, (op, name, name2, args) in enumerate(events):
         verdict: Verdict | None = None
         if op in ("load", "store", "ptr_add"):
@@ -326,18 +327,18 @@ def run_trace(events: Sequence[TraceEvent], config: EngineConfig | None = None) 
     counts[OK] += oks
 
     stats = arena.stats()
-    header_bytes = HEADER_SIZE * stats.total_allocations
-    payload_bytes = stats.total_payload_bytes
-    table_bytes = stats.table_touched_bytes
+    header_bytes = HEADER_SIZE * stats["total_allocations"]
+    payload_bytes = stats["total_payload_bytes"]
+    table_bytes = stats["table_touched_bytes"]
     ratio = (header_bytes + table_bytes + payload_bytes) / payload_bytes if payload_bytes else 1.0
     return RunReport(
-        event_count=len(events),
+        event_count=index + 1,
         verdicts={kind.value: n for kind, n in counts.items()},
         checks=asdict(checker.counters),
         overhead={"header_bytes": header_bytes, "table_bytes": table_bytes,
                   "payload_bytes": payload_bytes, "ratio": ratio},
         violations=violations,
-        live_stats=asdict(stats),
+        live_stats=stats,
     )
 
 

@@ -55,11 +55,6 @@ def encode_big(n: int, target_addr: int) -> int:
     return (n << TAG_SHIFT) | target_addr
 
 
-def untag(p: int) -> int:
-    """Strip the top 16 bits.  Total: untagged values pass through."""
-    return p & ADDRESS_MASK
-
-
 def decode(p: int) -> tuple[int, int, int]:
     """Split a raw pointer value into (flag, tag, address)."""
     return p >> 63, (p >> TAG_SHIFT) & TAG_MASK, p & ADDRESS_MASK

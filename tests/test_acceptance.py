@@ -95,7 +95,7 @@ def test_division_entries_never_conflict_across_streams():
             except EntryConflictError:
                 conflicts += 1
         total_allocations += count
-        max_live = max(max_live, arena.stats().live_allocations)
+        max_live = max(max_live, arena.stats()["live_allocations"])
     _criterion(
         "1e3 disjoint allocation streams cause zero division-entry conflicts",
         conflicts == 0 and total_allocations >= 100_000 and max_live == 10_000,

@@ -1,12 +1,16 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frameguard import cli
 from frameguard.cli import main
-from frameguard.harness import EngineConfig, WorkloadParams, gen_workload, run_trace
+from frameguard.harness import _GRAMMAR, EngineConfig, WorkloadParams, gen_workload, run_trace
 
 
 def test_run_text_and_json(tmp_path, capsys):
@@ -209,3 +213,81 @@ def test_each_flag_sets_its_field_and_omitted_flags_the_defaults(
         assert seen == [EngineConfig(**fields)]
     else:
         assert seen == [(5, WorkloadParams(objects=2, **fields))]
+
+
+# -- any stdin, any option values: exit 0, 1 or 2, never a traceback ------
+
+_FUZZ_INTS = st.builds(
+    lambda n, render: render(n),
+    st.one_of(st.integers(0, 64), st.integers(-64, 1 << 17), st.integers(-(1 << 70), 1 << 70)),
+    st.sampled_from((str, hex)),
+)
+
+
+@st.composite
+def _fuzz_line(draw) -> bytes:
+    """A line of any of the 12 ops, sometimes malformed, or raw bytes."""
+    if draw(st.integers(0, 15)) == 0:
+        return draw(st.binary(max_size=12))    # often invalid UTF-8
+    op = draw(st.sampled_from(sorted(_GRAMMAR)))
+    spec = _GRAMMAR[op]
+    words = [op] + [draw(st.sampled_from("abc")) for _ in range(spec.ids)]
+    words += [draw(_FUZZ_INTS) for _ in spec.fields]
+    if draw(st.integers(0, 9)) == 0:
+        words = words[:-1] if draw(st.booleans()) else words + [draw(_FUZZ_INTS)]
+    line = draw(st.sampled_from((" ", "\t", "\f", " \f "))).join(words)
+    if draw(st.booleans()):
+        line += " # " + draw(st.text(max_size=6))
+    return line.encode("utf-8")
+
+
+@st.composite
+def _fuzz_stdin(draw) -> bytes:
+    lines = [] if draw(st.integers(0, 3)) == 0 else [
+        b"alloc a 64", b"alloc_array b 4 8", b"alloc c 0x10000"]
+    lines += draw(st.lists(_fuzz_line(), max_size=12))
+    return b"".join(line + draw(st.sampled_from((b"\n", b"\r\n", b"\r"))) for line in lines)
+
+
+_FUZZ_OPTIONS = {
+    "--pad": ("0", "1", "17", "0x10", "-1", "x", ""),
+    "--jitter": ("0", "3", "0x40", "-2", "1.5"),
+    "--seed": ("0", "9", "-9", "0b101", "seed"),
+    "--arena-base": ("0x100000000000", "0x30000", "0", "0x10001", "0xffffffff0000",
+                     "-0x10000", "2**44"),
+    "--arena-size": ("0x100000", "0x10000000", "0", "0x10001", "0x1000000000000", "-0x10000"),
+}
+
+
+@st.composite
+def _fuzz_options(draw) -> list[str]:
+    argv = []
+    for flag, values in _FUZZ_OPTIONS.items():
+        if draw(st.integers(0, 3)) == 0:
+            argv += [flag, draw(st.one_of(st.sampled_from(values), _FUZZ_INTS))]
+    for flag in ("--json", "--arith-checks", "--fail-on-violation"):
+        if draw(st.booleans()):
+            argv.append(flag)
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=_fuzz_stdin(), options=_fuzz_options())
+def test_any_stdin_and_options_exit_0_1_or_2_with_one_error_line(data, options):
+    out, err = io.StringIO(), io.StringIO()
+    stdin, sys.stdin = sys.stdin, io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                status = main(["run", "-", *options])
+            except SystemExit as exc:    # argparse refusing an option value
+                status = exc.code
+    finally:
+        sys.stdin = stdin
+    err = err.getvalue()
+    assert "Traceback" not in err
+    assert status in (0, 1, 2)
+    if status == 2:
+        assert err.startswith("frameguard: ") and err.endswith("\n") and err.count("\n") == 1
+    else:
+        assert err == ""

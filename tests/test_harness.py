@@ -1,8 +1,12 @@
 import gc
+import hashlib
+import importlib.util
 import io
 import math
+import sys
 import tracemalloc
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -701,6 +705,17 @@ def test_report_determinism():
     assert outs[0] == outs[1]
 
 
+def test_run_trace_reads_any_iterable_once():
+    params = WorkloadParams(objects=120, accesses_per_object=4, fault_rate=0.1,
+                            fault_kinds=("overflow", "use_after_free", "double_free"),
+                            free_fraction=0.5)
+    events = parse_trace(format_trace(gen_workload(5, params)[0]))
+    listed = run_trace(events)
+    assert run_trace(ev for ev in events) == listed
+    assert listed.event_count == len(events)
+    assert run_trace(iter(())).event_count == 0
+
+
 # -- workload generation -------------------------------------------------
 
 def test_workload_no_faults_manifest_empty():
@@ -884,3 +899,42 @@ def test_text_report_mentions_totals():
     assert "ratio=" in text
     with pytest.raises(ValueError):
         emit_report(report, "yaml")
+
+
+def _bench_workloads():
+    """perfbench/common.py's WORKLOADS, loaded by path and left unchanged."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "common.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_common", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module     # dataclasses look their module up here
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module.WORKLOADS
+
+
+# SHA-256 of the JSON and the text report of each benchmark workload at
+# seed 7; the text digest covers the `arena:` line, read from live_stats
+_BENCH_REPORT_SHA256 = {
+    "mixed": ("9a0ac19a614451f6cb5801293c725e54884250a311ccd3c52b86371332adcf86",
+              "54ba00b9237ae22b62feec40e4b44b3cdca9351d395fe1f5d482d5dca1076529"),
+    "small_hot": ("3051079576c84b2ebd6d17505a52e42101f1aa7798d955ec454973aa8276cf81",
+                  "06bfb8a061d0296c67e826593c4ba72becf2894406bffc3d5db44ceb91107287"),
+    "big_churn": ("4d3a2948b03d0ae35d4d3e70dcdb63d327957fd11dfb2574b13122d18e17021f",
+                  "560bd4a511a1610efe5e16e3a7e7ce821d056af98b1dc8cc79cdf8ed54d6bd2e"),
+}
+
+
+def test_benchmark_workload_reports_are_pinned():
+    workloads = _bench_workloads()
+    assert workloads.keys() == _BENCH_REPORT_SHA256.keys()
+    for name, (json_sha, text_sha) in _BENCH_REPORT_SHA256.items():
+        workload = workloads[name]
+        events, manifest = gen_workload(7, workload.params)
+        report = run_trace(parse_trace(format_trace(events)), workload.config)
+        del events
+        assert dict(report.violations) == manifest, name
+        digests = tuple(hashlib.sha256(emit_report(report, fmt).encode()).hexdigest()
+                        for fmt in ("json", "text"))
+        assert digests == (json_sha, text_sha), name

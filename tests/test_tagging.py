@@ -9,7 +9,6 @@ from frameguard.tagging import (
     encode_big,
     encode_small,
     rebase,
-    untag,
 )
 from oracles import is_untagged
 
@@ -50,17 +49,6 @@ def test_encode_big_rejects_out_of_range():
         encode_big(49, 0)
     with pytest.raises(TagError):
         encode_big(20, 1 << 48)
-
-
-def test_untag():
-    assert untag(0x8014_1000_0012_3456) == 0x0000_1000_0012_3456
-    assert untag(0x0000_0000_0000_1234) == 0x0000_0000_0000_1234
-    assert untag(0xFFFF_0000_0000_0000) == 0x0
-    # idempotent
-    rng = random.Random(3)
-    for _ in range(500):
-        p = rng.randrange(1 << 64)
-        assert untag(untag(p)) == untag(p)
 
 
 def test_decode_zero():
