@@ -37,18 +37,21 @@ innermost open scope and are released at its scope_end, the way frame
 entries of non-static locals are vacated in a function epilogue.
 
 Each line parses to a `TraceEvent` named tuple (op, id, id2, args)
-whose op is the `_GRAMMAR` key and whose ids are the strings of their
-defining allocs, so a long trace holds each name once.
+whose op is the `_GRAMMAR` key, whose ids are the strings of their
+defining allocs and whose args tuple is shared by every line with equal
+fields, so a long trace holds each name and each distinct args tuple
+once.  A str trace is split into lines a slice at a time, with no copy
+of the whole text.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import random
 from dataclasses import asdict, dataclass
-from typing import Iterable, NamedTuple, Sequence
+from itertools import chain
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .arena import DEFAULT_ARENA_BASE, DEFAULT_ARENA_SIZE, DEFAULT_PAD_BYTES, Arena
 from .checker import AccessRequest, Checker
@@ -151,17 +154,42 @@ def _compile(op: str, spec: _Op) -> tuple:
 _ROWS = {op: _compile(op, spec) for op, spec in _GRAMMAR.items()}
 
 
+_CHUNK = 1 << 16    # about this many characters of a str trace are split at a time
+
+
+def _line_lists(text: str) -> Iterator[list[str]]:
+    """text's lines, without their ends, split at LF, CRLF and CR as a
+    text-mode file splits them, in one list per slice of about _CHUNK
+    characters.  A slice ends just after a line end, never between the
+    CR and LF of a CRLF, and only one slice at a time is copied."""
+    start, end = 0, len(text)
+    while start < end:
+        at = start + _CHUNK - 1
+        stop = text.find("\n", at) + 1 or end
+        cr = text.find("\r", at, stop - 1)     # a CR-only text has no LF to end at
+        if cr >= 0:
+            stop = cr + 2 if text[cr + 1] == "\n" else cr + 1
+        lines = text[start:stop].replace("\r\n", "\n").replace("\r", "\n").split("\n")
+        if not lines[-1]:
+            lines.pop()     # the empty piece after the slice's last line end
+        yield lines
+        start = stop
+
+
 def parse_trace(source: str | Iterable[str]) -> list[TraceEvent]:
     """Parse trace text into events, each line checked once against
     `_ROWS`.  A refused line raises TraceSyntaxError at its first failed
     check, in this order: the op, the argument count, each used id, each
     field (an integer, then in bounds), the alloc_array product and the
-    scope depth.  A str is split into lines the way a text file is."""
-    lines = io.StringIO(source, newline=None) if isinstance(source, str) else source
+    scope depth.  A str is split into lines by `_line_lists`, the way a
+    text-mode file splits them, with no copy of the whole text.  Equal
+    args tuples are one object, as equal ids are."""
+    lines = chain.from_iterable(_line_lists(source)) if isinstance(source, str) else source
     events: list[TraceEvent] = []
     append = events.append
     defined: dict[str, str] = {}
     known = defined.setdefault
+    share = {}.setdefault   # each distinct args tuple, kept once
     rows = _ROWS
     new = tuple.__new__
     depth = 0
@@ -209,7 +237,7 @@ def parse_trace(source: str | Iterable[str]) -> list[TraceEvent]:
         depth += scope
         if depth < 0:
             raise TraceSyntaxError(line_no, "scope_end without matching scope_begin")
-        append(new(TraceEvent, (op, name, name2, args)))
+        append(new(TraceEvent, (op, name, name2, share(args, args))))
     return events
 
 

@@ -1,3 +1,4 @@
+import functools
 import gc
 import hashlib
 import importlib.util
@@ -9,9 +10,10 @@ from decimal import Decimal
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from frameguard import harness
 from frameguard.harness import (
     _GRAMMAR,
     EngineConfig,
@@ -327,19 +329,39 @@ def _outcome(source):
         return e.line_no, str(e)
 
 
-@settings(deadline=None)
-@given(st.data())
-def test_str_splits_into_lines_like_a_text_file(data):
-    events = data.draw(_traces())
-    chars = list(data.draw(_decorated(events)))
-    for _ in range(data.draw(st.integers(1, 8))):
-        sep = data.draw(st.sampled_from(_SEPARATORS + "\r\n"))
-        chars.insert(data.draw(st.integers(0, len(chars))), sep)
+@st.composite
+def _text_files(draw):
+    """A trace's text, valid or not: LF, CR, CRLF, the other Unicode line
+    separators and commented-out U+2028s inserted at random, and the last
+    line end maybe left off."""
+    chars = list(draw(_decorated(draw(_traces()))))
+    for _ in range(draw(st.integers(1, 8))):
+        sep = draw(st.sampled_from([*_SEPARATORS, "\r", "\n", "\r\n", " # \u2028"]))
+        chars.insert(draw(st.integers(0, len(chars))), sep)
     text = "".join(chars)
+    return text.rstrip("\r\n") if draw(st.booleans()) else text
+
+
+@settings(deadline=None)
+@given(_text_files())
+@example("alloc a 8\r\nload a 0 1\r\n")                     # CRLF
+@example("alloc a 8\rload a 0 1\nfree a\n")                   # a lone CR
+@example("alloc a 8\nfree a\r")                               # a CR at the very end
+@example("alloc a 8\rload a 0 1\rload zz 0 1")                # no LF at all
+@example("alloc a 8\nfree a")                                 # no final line end
+@example("alloc a 8 # x\u2028 free a\r\nload zz 0 1\n")      # U+2028 in a comment
+@example("\r\n\r\r\n\n\rload zz 0 1\r")                       # blank lines of each ending
+def test_str_splits_into_lines_like_a_text_file(text):
     expected = _outcome(io.StringIO(text, newline=None))
     assert _outcome(text) == expected
     text_file = io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8", newline=None)
     assert _outcome(text_file) == expected
+    # a str is split a slice at a time; slices of 1 to 7 characters end
+    # at nearly every LF, and a CRLF must never straddle two of them
+    with pytest.MonkeyPatch.context() as mp:
+        for chunk in (1, 2, 3, 7):
+            mp.setattr(harness, "_CHUNK", chunk)
+            assert _outcome(text) == expected
 
 
 _BAD_OPS = ["bogus", "Alloc", "load_", "free2", "scope"]
@@ -430,12 +452,27 @@ def test_events_share_op_and_id_strings():
     assert events[3].id is dst and events[3].id2 is buf
 
 
-def test_parsed_events_retain_few_bytes_each():
-    # a small_hot-shaped trace: small objects, 32 accesses each
-    params = WorkloadParams(objects=200, size_dist="uniform:8:512", accesses_per_object=32,
+def test_equal_fields_share_one_args_tuple():
+    text = "alloc a 300 0\nalloc b 300\nload a 1000 4\nstore b 1000 4\n"
+    events = parse_trace(text)
+    assert events[0].args is events[1].args
+    assert events[2].args is events[3].args
+    # sharing changes no event: they still equal the generated ones
+    generated, _ = gen_workload(5, WorkloadParams(objects=50, accesses_per_object=8))
+    parsed = parse_trace(format_trace(generated))
+    assert parsed == generated
+    assert len({id(ev.args) for ev in parsed}) == len({ev.args for ev in parsed})
+
+
+@functools.lru_cache(maxsize=None)
+def _parse_footprint(line_end: str = "\n") -> tuple[int, int, int, int]:
+    """(events, characters, bytes retained, bytes peak) of parsing the
+    text of a small_hot-shaped trace, its lines ended by line_end: 2000
+    small objects, 32 accesses each, 70,000 events in all."""
+    params = WorkloadParams(objects=2000, size_dist="uniform:8:512", accesses_per_object=32,
                             fault_rate=0.02, edge_probe=True)
     events, _ = gen_workload(7, params)
-    text = format_trace(events)
+    text = format_trace(events).replace("\n", line_end)
     del events
     gc.collect()
     tracemalloc.start()
@@ -443,12 +480,25 @@ def test_parsed_events_retain_few_bytes_each():
         before = tracemalloc.get_traced_memory()[0]
         events = parse_trace(text)
         gc.collect()
-        retained = tracemalloc.get_traced_memory()[0] - before
+        retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # about 150 B: the list slot, the event, its args tuple and any
-    # int past the small-int cache
-    assert retained / len(events) < 200
+    return len(events), len(text), retained - before, peak - before
+
+
+def test_parsed_events_retain_few_bytes_each():
+    n, _, retained, _ = _parse_footprint()
+    # about 94 B: the list slot and the 72 B event; equal args tuples,
+    # and the ints past the small-int cache in them, are one object
+    assert retained / n < 110
+
+
+@pytest.mark.parametrize("line_end", ["\n", "\r"])
+def test_parsing_a_str_copies_no_whole_text(line_end):
+    _, chars, retained, peak = _parse_footprint(line_end)
+    # about 0.45 B a character: one slice and its lines at a time.  A
+    # text-mode copy of the whole text alone takes 4 B a character.
+    assert peak - retained < chars
 
 
 # -- execution ---------------------------------------------------------
