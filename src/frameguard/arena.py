@@ -9,11 +9,12 @@ imaginary: it widens the frame so one-past-end pointers stay
 resolvable, but consumes no storage and may overlap a neighbour.
 
 Placement is a 16-aligned bump cursor, optionally with randomized gaps
-to exercise arbitrary object arrangements; one private step places,
-frames, tags and records an allocation, moving the cursor last so a
-refused one leaves no trace.  Addresses are never reused, so headers
-of released objects linger as stale bytes would in a real heap; that
-matches what the checks can and cannot see afterwards.
+to exercise arbitrary object arrangements; one private step,
+_register, places, frames, tags and records an allocation, moving the
+cursor last so a refused one leaves no trace.  It is the only code that
+mints a tag.  Addresses are never reused, so headers of released
+objects linger as stale bytes would in a real heap; that matches what
+the checks can and cannot see afterwards.
 
 Each allocation has one AllocationRecord, keyed by its header address
 in the only record store; the record holds what the header bytes hold
@@ -34,11 +35,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .frame_math import ADDRESS_MASK, SLOT_BITS, WrapperFrame, wrapper_frame
+from .frame_math import ADDRESS_MASK, SLOT_BITS, SLOT_SIZE, WrapperFrame, wrapper_frame
 from .metadata import HEADER_SIZE, ArenaRangeError, DivisionTable, check_header_fields
 # decode is imported only so the traced benchmark run (perfbench/layers.py)
 # finds the name it patches in this module
-from .tagging import TAG_SHIFT, decode, encode_big, encode_small  # noqa: F401
+from .tagging import FLAG_BIT, TAG_SHIFT, decode  # noqa: F401
 from .verdicts import DOUBLE_FREE, OK, OUT_OF_FRAME, UNTRACKED, Verdict, VerdictKind
 
 DEFAULT_ARENA_BASE = 1 << 44          # 0x0000_1000_0000_0000
@@ -100,7 +101,9 @@ class Arena:
     def _register(self, raw_size: int, total_bytes: int, type_id: int,
                   scope_id: int | None) -> AllocationRecord:
         """Place total_bytes at the cursor, then frame, tag and record
-        the allocation; the cursor moves only once nothing refused it."""
+        the allocation; the cursor moves only once nothing refused it.
+        The table keeps obj_base inside the 48-bit space, a small frame
+        keeps the header in its slot, and set_entry range-checks n."""
         cursor = self._cursor
         if self._jitter:
             cursor += 16 * self._rng.randrange(self._jitter + 1)
@@ -112,10 +115,10 @@ class Arena:
         obj_base = header_addr + HEADER_SIZE
         frame = wrapper_frame(header_addr, end - 1 + self.pad_bytes)
         if frame.n <= SLOT_BITS:
-            tagged = encode_small(header_addr, obj_base)
+            tagged = FLAG_BIT | (header_addr & (SLOT_SIZE - 1)) << TAG_SHIFT | obj_base
         else:
             self.table.set_entry(obj_base, frame.n, header_addr)
-            tagged = encode_big(frame.n, obj_base)
+            tagged = frame.n << TAG_SHIFT | obj_base
         self._cursor = end
         record = AllocationRecord(len(self._by_header) + 1, header_addr, obj_base, raw_size,
                                   frame, tagged, type_id, True, scope_id)

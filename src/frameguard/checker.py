@@ -26,8 +26,6 @@ what it reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .arena import Arena
 from .frame_math import ADDRESS_MASK, SLOT_BITS
 # decode is unused, kept only because perfbench/layers.py patches it here
@@ -49,36 +47,28 @@ class AccessRequest:
         self.access_size = access_size
 
 
-@dataclass
-class CheckCounters:
-    access_checks: int = 0
-    arith_checks: int = 0
-    lookups_small: int = 0
-    lookups_big: int = 0
-
-
 class Checker:
-    """Read-only verifier over an arena's metadata."""
+    """Read-only verifier over an arena's metadata; it counts its checks
+    and their small and big header lookups in plain int attributes."""
 
     def __init__(self, arena: Arena):
         self.arena = arena
-        self.counters = CheckCounters()
+        self.access_checks = self.arith_checks = self.lookups_small = self.lookups_big = 0
 
     # -- checks -------------------------------------------------------
 
     def check_access(self, req: AccessRequest) -> Verdict:
         """Bounds verdict for one load or store; untracked addresses pass
         unchecked.  The verdict's address is the untagged one."""
-        counters = self.counters
-        counters.access_checks += 1
+        self.access_checks += 1
         tagged = req.tagged
         kind, record = self.arena.lookup(tagged)
         if kind is UNTRACKED:
             return Verdict(kind, tagged)
         if tagged >> 63:
-            counters.lookups_small += 1
+            self.lookups_small += 1
         else:
-            counters.lookups_big += 1
+            self.lookups_big += 1
         addr = tagged & ADDRESS_MASK
         if record is None:
             # out of frame, or a vacated entry (released big-framed object)
@@ -104,7 +94,7 @@ class Checker:
         framed objects).  Pointers into the fake padding pass here and
         only fail if dereferenced.
         """
-        self.counters.arith_checks += 1
+        self.arith_checks += 1
         new_addr = new & ADDRESS_MASK
         if not old >> TAG_SHIFT:
             return Verdict(UNTRACKED, new_addr)

@@ -1,7 +1,8 @@
 """Command-line driver: replay trace files and generate workloads.
 
 Exit status: 0 on success, 1 when violations were found and
---fail-on-violation is set, 2 on unusable input.
+--fail-on-violation is set, 2 on unusable input, with one `frameguard:`
+line that cuts any long operand, whatever text echoes it.
 """
 
 from __future__ import annotations
@@ -22,13 +23,20 @@ from .harness import (
     parse_trace,
     run_trace,
 )
+from .messages import cut
 from .metadata import EntryConflictError
+
+
+def _short(message: str) -> str:
+    """message with each word past 100 characters cut, as argparse and OSError
+    echo operands whole; paths that long and per-site cuts pass unchanged."""
+    return " ".join(cut(word, False) if len(word) > 100 else word for word in message.split(" "))
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):
         """One `frameguard: ...` line and exit 2, as for any unusable input."""
-        self.exit(2, f"frameguard: {message} (see {self.prog} --help)\n")
+        self.exit(2, f"frameguard: {_short(message)} (see {self.prog} --help)\n")
 
 
 def integer(value: str) -> int:
@@ -132,5 +140,5 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (TraceRuntimeError, ArenaExhausted, EntryConflictError, ValueError, OSError) as exc:
-        print(f"frameguard: {exc}", file=sys.stderr)
+        print(f"frameguard: {_short(str(exc))}", file=sys.stderr)
         return 2

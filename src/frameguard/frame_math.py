@@ -30,10 +30,6 @@ class WrapperFrame(NamedTuple):
     n: int        # log2 of the frame size, in [0, 48]
     base: int     # frame base address, aligned by 2**n
 
-    @property
-    def size(self) -> int:
-        return 1 << self.n
-
 
 def wrapper_frame(lo: int, hi: int) -> WrapperFrame:
     """Wrapper frame of the inclusive byte region [lo, hi].
@@ -48,12 +44,5 @@ def wrapper_frame(lo: int, hi: int) -> WrapperFrame:
     if lo > hi:
         raise RegionError(f"region lower bound {lo:#x} above upper bound {hi:#x}")
     n = (lo ^ hi).bit_length()
-    # hi < 2**48 bounds the XOR, so n never exceeds the address width
-    assert n <= ADDRESS_BITS
     return WrapperFrame(n, lo & ~((1 << n) - 1))
-
-
-def slot_base(addr: int) -> int:
-    """Base of the 2**15-byte slot containing addr (addr untagged)."""
-    return addr & ~(SLOT_SIZE - 1)
 

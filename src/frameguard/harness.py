@@ -49,7 +49,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -362,7 +362,8 @@ def run_trace(events: Iterable[TraceEvent], config: EngineConfig | None = None) 
     return RunReport(
         event_count=index + 1,
         verdicts={kind.value: n for kind, n in counts.items()},
-        checks=asdict(checker.counters),
+        checks={"access_checks": checker.access_checks, "arith_checks": checker.arith_checks,
+                "lookups_small": checker.lookups_small, "lookups_big": checker.lookups_big},
         overhead={"header_bytes": header_bytes, "table_bytes": table_bytes,
                   "payload_bytes": payload_bytes, "ratio": ratio},
         violations=violations,

@@ -6,7 +6,7 @@ cross-checks.
 
 from decimal import Decimal
 
-from frameguard.frame_math import ADDRESS_MASK, RegionError, slot_base
+from frameguard.frame_math import ADDRESS_MASK, RegionError
 from frameguard.harness import _GRAMMAR
 from frameguard.metadata import _U32_MAX, ArenaRangeError
 from frameguard.tagging import MAX_BIG_TAG, MIN_BIG_TAG, TAG_SHIFT, TagError, decode
@@ -25,6 +25,23 @@ def in_frame(p: int, q: int, n: int) -> bool:
 def is_untagged(p: int) -> bool:
     """True for plain untracked addresses (no flag, no tag)."""
     return p >> TAG_SHIFT == 0
+
+
+def slot_base(addr: int) -> int:
+    """Base of the 2**15-byte slot holding untagged addr."""
+    return addr - addr % 2 ** 15
+
+
+def tag_small(header: int, target: int) -> int:
+    """Reference small-framed pointer to target, whose header shares its
+    slot: flag 1, then the header's offset in that slot, then target."""
+    return 2 ** 63 + (header - slot_base(header)) * 2 ** 48 + target
+
+
+def tag_big(n: int, target: int) -> int:
+    """Reference big-framed pointer to target in an n-frame: flag 0, then
+    n, then target."""
+    return n * 2 ** 48 + target
 
 
 def wrapper_frame_oracle(lo: int, hi: int) -> int:

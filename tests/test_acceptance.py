@@ -54,7 +54,8 @@ def test_no_smaller_frame_contains_any_region():
         else:
             hi = rng.randrange(lo, 1 << 48)
         f = wrapper_frame(lo, hi)
-        if not (f.base <= lo <= hi <= f.base + f.size - 1 and f.base % f.size == 0):
+        size = 1 << f.n
+        if not (f.base <= lo <= hi <= f.base + size - 1 and f.base % size == 0):
             failures += 1
             continue
         # exhaustive: every smaller frame size splits the region

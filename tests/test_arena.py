@@ -6,13 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frameguard.arena import Arena, ArenaExhausted, DEFAULT_ARENA_BASE
-from frameguard.frame_math import ADDRESS_MASK, SLOT_SIZE, slot_base
+from frameguard.frame_math import ADDRESS_MASK, SLOT_SIZE
 from frameguard.metadata import ArenaRangeError, DivisionTable, EntryConflictError, HEADER_SIZE
 from frameguard.tagging import (
     FLAG_BIT, MAX_BIG_TAG, MIN_BIG_TAG, TAG_MASK, TAG_SHIFT, TagError, decode, rebase,
 )
 from frameguard.verdicts import VerdictKind
-from oracles import header_lookup_oracle, lookup_oracle, wrapper_frame_oracle
+from oracles import header_lookup_oracle, lookup_oracle, slot_base, wrapper_frame_oracle
 
 BASE = DEFAULT_ARENA_BASE
 

@@ -9,7 +9,7 @@ from frameguard.checker import AccessRequest, Checker
 from frameguard.frame_math import ADDRESS_MASK, SLOT_BITS
 from frameguard.metadata import ArenaRangeError
 from frameguard.tagging import (
-    FLAG_BIT, MAX_BIG_TAG, MIN_BIG_TAG, TAG_MASK, TAG_SHIFT, TagError, decode, encode_big, rebase)
+    FLAG_BIT, MAX_BIG_TAG, MIN_BIG_TAG, TAG_MASK, TAG_SHIFT, TagError, decode, rebase)
 from frameguard.verdicts import Verdict, VerdictKind
 from oracles import check_access_oracle, copy_oracle, free_oracle, in_frame, is_untagged
 
@@ -175,8 +175,8 @@ def test_arith_in_frame_examples():
 def test_arith_big_framed_uses_tagged_n():
     arena, ck = setup()
     r = arena.alloc(1 << 17)
-    inside = rebase(r.tagged, r.frame.base + r.frame.size - 1)
-    outside = rebase(r.tagged, r.frame.base + r.frame.size)
+    inside = rebase(r.tagged, r.frame.base + (1 << r.frame.n) - 1)
+    outside = rebase(r.tagged, r.frame.base + (1 << r.frame.n))
     assert ck.check_arith(r.tagged, inside).kind is VerdictKind.OK
     assert ck.check_arith(r.tagged, outside).kind is VerdictKind.OUT_OF_FRAME
     # a flag-clear tag outside [16, 48] is no frame log
@@ -319,11 +319,10 @@ def test_counters():
     access(ck, big, 0, 1)
     ck.check_arith(small.tagged, small.tagged)
     ck.check_memcpy(small.tagged, big.tagged, 8)
-    c = ck.counters
-    assert c.access_checks == 4          # two direct, two for memcpy operands
-    assert c.arith_checks == 1
-    assert c.lookups_small == 2
-    assert c.lookups_big == 2
+    assert ck.access_checks == 4          # two direct, two for memcpy operands
+    assert ck.arith_checks == 1
+    assert ck.lookups_small == 2
+    assert ck.lookups_big == 2
 
 
 def test_negative_byte_counts_rejected():

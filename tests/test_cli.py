@@ -171,6 +171,39 @@ def test_offset_outside_address_space_exits_2(tmp_path, capsys):
     assert err.startswith("frameguard: ") and "'a'" in err and err.count("\n") == 1
 
 
+_DIGITS = "9" * 4000      # an int every parser accepts; its hex form has 3,322 digits
+_TOKEN = "9" * 5000       # past int()'s 4,300-digit limit: argparse echoes the token
+_WORD = "x" * 5000
+
+
+@pytest.mark.parametrize("argv, start", [
+    (["run", "t.txt", "--pad", _DIGITS], "region ["),
+    (["run", "t.txt", "--jitter", _DIGITS], "arena exhausted: "),
+    (["run", "t.txt", "--arena-base", _DIGITS], "arena base 0x"),
+    (["run", "t.txt", "--arena-size", _DIGITS], "arena size 0x"),
+    (["run", "t.txt", "--pad", _TOKEN], "argument --pad: invalid integer value: '999"),
+    (["run", "t.txt", "--seed", _TOKEN], "argument --seed: invalid integer value: '999"),
+    (["gen", "--seed", "1", "--objects", _TOKEN], "argument --objects: invalid integer value"),
+    (["gen", "--seed", "1", "--objects", "2", "--faults", "0." + _WORD],
+     "argument --faults: invalid float value: '0.xxx"),
+    (["gen", "--seed", "1", "--objects", "2", "--sizes", _WORD], "bad size distribution 'xxx"),
+    (["gen", "--seed", "1", "--objects", "2", "--fault-kinds", _WORD], "unknown fault kind 'xxx"),
+    (["run", "t.txt", _WORD], "unrecognized arguments: xxx"),
+    (["gen", "--seed", "1", "--objects", "2", "--out", _WORD], "[Errno "),
+], ids=["pad", "jitter", "arena_base", "arena_size", "pad_token", "seed_token",
+        "objects_token", "faults_token", "sizes", "fault_kinds", "unrecognized", "out_path"])
+def test_an_error_line_cuts_long_operands(argv, start, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "t.txt").write_text("alloc a 8\n")
+    try:
+        status = main(argv)
+    except SystemExit as exc:    # argparse refusing an argument
+        status = exc.code
+    err = capsys.readouterr().err
+    assert status == 2 and err.startswith(f"frameguard: {start}") and err.count("\n") == 1
+    assert len(err) - 1 <= 200 and " characters)" in err
+
+
 _GEN = ["gen", "--seed", "5", "--objects", "2"]
 
 
@@ -217,10 +250,17 @@ def test_each_flag_sets_its_field_and_omitted_flags_the_defaults(
 
 # -- any stdin, any option values: exit 0, 1 or 2, never a traceback ------
 
-_FUZZ_INTS = st.builds(
-    lambda n, render: render(n),
-    st.one_of(st.integers(0, 64), st.integers(-64, 1 << 17), st.integers(-(1 << 70), 1 << 70)),
-    st.sampled_from((str, hex)),
+_FUZZ_INTS = st.one_of(
+    st.builds(
+        lambda n, render: render(n),
+        st.one_of(st.integers(0, 64), st.integers(-64, 1 << 17), st.integers(-(1 << 70), 1 << 70),
+                  # up to 4,000 digits: an int every parser accepts, whatever its length
+                  st.integers(1, 4000).flatmap(lambda d: st.integers(-10 ** d, 10 ** d))),
+        st.sampled_from((str, hex)),
+    ),
+    # past int()'s 4,300-digit limit, and long tokens that are no number
+    st.builds(lambda d, c: c * d, st.integers(4301, 5000), st.sampled_from("19")),
+    st.builds(lambda d, c: c * d, st.integers(41, 5000), st.sampled_from("xZ-")),
 )
 
 
@@ -289,5 +329,6 @@ def test_any_stdin_and_options_exit_0_1_or_2_with_one_error_line(data, options):
     assert status in (0, 1, 2)
     if status == 2:
         assert err.startswith("frameguard: ") and err.endswith("\n") and err.count("\n") == 1
+        assert len(err) - 1 <= 200
     else:
         assert err == ""

@@ -4,11 +4,13 @@ import pytest
 
 from frameguard.frame_math import (
     ADDRESS_MASK,
+    SLOT_BITS,
+    SLOT_SIZE,
     RegionError,
-    slot_base,
+    WrapperFrame,
     wrapper_frame,
 )
-from oracles import in_frame, wrapper_frame_oracle
+from oracles import in_frame, slot_base, wrapper_frame_oracle
 
 
 def test_wrapper_frame_examples():
@@ -89,6 +91,9 @@ def test_slot_base():
     for _ in range(1_000):
         addr = rng.randrange(1 << 48)
         assert slot_base(addr) == (addr // (1 << 15)) * (1 << 15)
+        # the slot the reference names is the 15-frame the library computes
+        base = slot_base(addr)
+        assert wrapper_frame(base, base + SLOT_SIZE - 1) == WrapperFrame(SLOT_BITS, base)
 
 
 

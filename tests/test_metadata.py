@@ -12,8 +12,8 @@ from frameguard.metadata import (
     EntryConflictError,
     check_header_fields,
 )
-from frameguard.tagging import FLAG_BIT, TAG_SHIFT, TagError, encode_big, encode_small
-from oracles import entry_key_oracle, header_lookup_oracle
+from frameguard.tagging import FLAG_BIT, TAG_SHIFT, TagError
+from oracles import entry_key_oracle, header_lookup_oracle, tag_big, tag_small
 
 BASE = 0x0000_1000_0000_0000
 
@@ -119,7 +119,7 @@ def test_touched_bytes_tracks_divisions_in_use():
 def test_header_lookup_small():
     t = DivisionTable(BASE, 1 << 24)
     slot = BASE + 0x8000
-    raw = encode_small(slot + 0x10, slot + 0x20)
+    raw = tag_small(slot + 0x10, slot + 0x20)
     assert t.header_lookup(raw) == slot + 0x10
 
 
@@ -127,9 +127,9 @@ def test_header_lookup_big_and_vacancy():
     t = DivisionTable(BASE, 1 << 24)
     p = BASE + (1 << 20) + 0x2345
     t.set_entry(p, 20, 0xDEAD0)
-    assert t.header_lookup(encode_big(20, p)) == 0xDEAD0
+    assert t.header_lookup(tag_big(20, p)) == 0xDEAD0
     t.reset_entry(p, 20)
-    assert t.header_lookup(encode_big(20, p)) == 0  # vacancy: released object
+    assert t.header_lookup(tag_big(20, p)) == 0  # vacancy: released object
 
 
 def test_header_lookup_rejects_untagged():
