@@ -12,16 +12,20 @@ Placement is a 16-aligned bump cursor, optionally with randomized gaps
 to exercise arbitrary object arrangements; one private step,
 _register, places, frames, tags and records an allocation, moving the
 cursor last so a refused one leaves no trace.  It is the only code that
-mints a tag.  Addresses are never reused, so headers of released
-objects linger as stale bytes would in a real heap; that matches what
-the checks can and cannot see afterwards.
+mints a tag.  Addresses are never reused.
 
 Each allocation has one AllocationRecord, keyed by its header address
 in the only record store; the record holds what the header bytes hold
-(raw size and type id), and Arena.stats sums the store into the dict of
-totals a run report keeps.  Arena.lookup is the one place a pointer's
-outcome is decided (untracked, out of frame, or the record at its
-header); the checker and the deallocation paths both build on it.
+(raw size and type id) and its frame's log-size n.  The store holds the
+live records and the dead small-framed ones, following FRAMER's
+lifetime rule: a released big-framed object leaves only its vacated
+division-table entry, so its record leaves the store, while a released
+small-framed header lingers as stale bytes would in a real heap, and
+its record's liveness reports a small-framed double free.  Arena.stats
+reads running totals that allocation and release keep, not the store.
+Arena.lookup is the one place a pointer's outcome is decided
+(untracked, out of frame, or the record at its header); the checker
+and the deallocation paths both build on it.
 metadata.check_header_fields states the header size rule once for
 alloc, alloc_array and realloc.
 
@@ -59,15 +63,21 @@ class AllocationRecord:
     header_addr: int
     obj_base: int
     raw_size: int
-    frame: WrapperFrame
+    n: int          # log2 of the wrapper frame size
     tagged: int
     type_id: int = 0
     live: bool = True
     scope_id: int | None = None
 
     @property
+    def frame(self) -> WrapperFrame:
+        """The wrapper frame, rebuilt from n: it is aligned by its size
+        and begins at or below the header."""
+        return WrapperFrame(self.n, self.header_addr & -(1 << self.n))
+
+    @property
     def is_small(self) -> bool:
-        return self.frame.n <= SLOT_BITS
+        return self.n <= SLOT_BITS
 
 
 class Arena:
@@ -93,8 +103,10 @@ class Arena:
         self._rng = rng
         self._cursor = base
         # header addresses are never reused, so insertion order is
-        # allocation order and ids number the records from 1
+        # allocation order; a released big-framed record is deleted
         self._by_header: dict[int, AllocationRecord] = {}
+        # running totals for stats(); ids number the allocations from 1
+        self._allocations = self._payload = self._live = 0
 
     # -- placement ----------------------------------------------------
 
@@ -113,15 +125,18 @@ class Arena:
             raise ArenaExhausted(f"arena exhausted: need {total_bytes} bytes at {header_addr:#x}, "
                                  f"arena ends at {self.base + self.size:#x}")
         obj_base = header_addr + HEADER_SIZE
-        frame = wrapper_frame(header_addr, end - 1 + self.pad_bytes)
-        if frame.n <= SLOT_BITS:
+        n = wrapper_frame(header_addr, end - 1 + self.pad_bytes).n
+        if n <= SLOT_BITS:
             tagged = FLAG_BIT | (header_addr & (SLOT_SIZE - 1)) << TAG_SHIFT | obj_base
         else:
-            self.table.set_entry(obj_base, frame.n, header_addr)
-            tagged = frame.n << TAG_SHIFT | obj_base
+            self.table.set_entry(obj_base, n, header_addr)
+            tagged = n << TAG_SHIFT | obj_base
         self._cursor = end
-        record = AllocationRecord(len(self._by_header) + 1, header_addr, obj_base, raw_size,
-                                  frame, tagged, type_id, True, scope_id)
+        self._allocations += 1
+        self._payload += raw_size
+        self._live += 1
+        record = AllocationRecord(self._allocations, header_addr, obj_base, raw_size,
+                                  n, tagged, type_id, True, scope_id)
         self._by_header[header_addr] = record
         return record
 
@@ -212,7 +227,8 @@ class Arena:
             return OUT_OF_FRAME, None
         if record is None and tagged >> 63:
             # anywhere in its own slot a small-framed pointer finds its
-            # header, live or dead; no header means it left the slot
+            # header, live or dead; no stored record there means it left
+            # the slot, even onto a released big-framed object's header
             return OUT_OF_FRAME, None
         return None, record
 
@@ -228,25 +244,28 @@ class Arena:
         return None, record
 
     def _release(self, record: AllocationRecord) -> None:
-        n = record.frame.n
+        n = record.n
         if n > SLOT_BITS:
+            # the vacated entry now answers for every pointer of the
+            # object, so its record leaves the store
             self.table.reset_entry(record.obj_base, n)
+            del self._by_header[record.header_addr]
         record.live = False
-        # the header bytes stay in place, as they would in a real heap
+        self._live -= 1
+        # a small-framed header stays in place, as it would in a real heap
 
     @property
     def records(self) -> list[AllocationRecord]:
-        """Every allocation record, live or dead, in allocation order."""
+        """The stored records in allocation order: every live one and
+        every dead small-framed one; a released big-framed record is gone."""
         return list(self._by_header.values())
 
     def stats(self) -> dict[str, int]:
-        """Live and cumulative totals: the dict a run report keeps as live_stats."""
-        live = payload = 0
-        for record in self._by_header.values():
-            live += record.live
-            payload += record.raw_size
+        """Live and cumulative totals, kept as allocations are made and
+        released: the dict a run report keeps as live_stats."""
+        live = self._live
         return dict(live_allocations=live, live_header_bytes=HEADER_SIZE * live,
                     table_reserved_bytes=self.table.reserved_bytes,
                     table_touched_bytes=self.table.touched_bytes,
-                    total_allocations=len(self._by_header), total_payload_bytes=payload,
+                    total_allocations=self._allocations, total_payload_bytes=self._payload,
                     cursor_used_bytes=self._cursor - self.base)

@@ -2,7 +2,8 @@
 
 Exit status: 0 on success, 1 when violations were found and
 --fail-on-violation is set, 2 on unusable input, with one `frameguard:`
-line that cuts any long operand, whatever text echoes it.
+line of at most LINE_MAX characters that cuts any long operand, whatever
+text echoes it.
 """
 
 from __future__ import annotations
@@ -27,16 +28,26 @@ from .messages import cut
 from .metadata import EntryConflictError
 
 
-def _short(message: str) -> str:
-    """message with each word past 100 characters cut, as argparse and OSError
-    echo operands whole; paths that long and per-site cuts pass unchanged."""
-    return " ".join(cut(word, False) if len(word) > 100 else word for word in message.split(" "))
+LINE_MAX = 200      # characters in an exit-2 line, its newline aside
+
+
+def _line(message: str, tail: str = "") -> str:
+    """The `frameguard: ...` line for message then tail.  Each word past 100
+    characters is cut, as argparse and OSError echo operands whole; paths
+    that long and per-site cuts pass unchanged.  If the line is still past
+    LINE_MAX, as with many long operands, the message is cut to fit."""
+    message = " ".join(cut(word, False) if len(word) > 100 else word
+                       for word in message.split(" "))
+    room = LINE_MAX - len("frameguard: ") - len(tail)
+    if len(message) > room:
+        message = message[:room - 3] + "..."
+    return f"frameguard: {message}{tail}\n"
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):
         """One `frameguard: ...` line and exit 2, as for any unusable input."""
-        self.exit(2, f"frameguard: {_short(message)} (see {self.prog} --help)\n")
+        self.exit(2, _line(message, f" (see {self.prog} --help)"))
 
 
 def integer(value: str) -> int:
@@ -140,5 +151,5 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (TraceRuntimeError, ArenaExhausted, EntryConflictError, ValueError, OSError) as exc:
-        print(f"frameguard: {_short(str(exc))}", file=sys.stderr)
+        sys.stderr.write(_line(str(exc)))
         return 2

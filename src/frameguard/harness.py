@@ -55,6 +55,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .arena import DEFAULT_ARENA_BASE, DEFAULT_ARENA_SIZE, DEFAULT_PAD_BYTES, Arena
 from .checker import AccessRequest, Checker
+from .frame_math import ADDRESS_MASK
 from .messages import cut
 from .metadata import HEADER_SIZE, _U32_MAX
 from .tagging import TagError, rebase
@@ -279,14 +280,15 @@ def run_trace(events: Iterable[TraceEvent], config: EngineConfig | None = None) 
     check_access, check_free = checker.check_access, checker.check_free
     copy_checks = {"memcpy": checker.check_memcpy, "strcpy": checker.check_strcpy,
                    "strncpy": checker.check_strncpy}
-    bindings: dict[str, object] = {}
-    cursors: dict[int, int] = {}    # header address -> pointer ptr_add moved
-    scopes: list[list] = []
+    # each id's canonical tagged pointer: it addresses the object base
+    bindings: dict[str, int] = {}
+    cursors: dict[int, int] = {}    # canonical pointer -> pointer ptr_add moved
+    scopes: list[list] = []         # the records each open scope releases
     counts = dict.fromkeys(VerdictKind, 0)
     oks = 0     # ok verdicts of load, store and free, kept apart from counts
     violations: list[tuple[int, str]] = []
 
-    def _record(name: str):
+    def _bound(name: str) -> int:
         try:
             return bindings[name]
         except KeyError:
@@ -296,19 +298,18 @@ def run_trace(events: Iterable[TraceEvent], config: EngineConfig | None = None) 
     for index, (op, name, name2, args) in enumerate(events):
         verdict: Verdict | None = None
         if op in ("load", "store", "ptr_add"):
-            # the hot path: binding lookup inline (a record is always
-            # true, and _record raises for an unbound id)
-            record = bindings.get(name) or _record(name)
+            # the hot path: binding lookup inline (a tagged pointer is
+            # never 0, and _bound raises for an unbound id)
+            base = bindings.get(name) or _bound(name)
             try:    # rebase is the one range check of the address
-                tagged = rebase(record.tagged, record.obj_base + args[0])
+                tagged = rebase(base, (base & ADDRESS_MASK) + args[0])
             except TagError:
                 raise TraceRuntimeError(
                     f"offset {cut(args[0])} moves {cut(name)} outside the 48-bit space") from None
             if op == "ptr_add":
                 if config.arith_checks:
-                    verdict = checker.check_arith(
-                        cursors.get(record.header_addr, record.tagged), tagged)
-                cursors[record.header_addr] = tagged
+                    verdict = checker.check_arith(cursors.get(base, base), tagged)
+                cursors[base] = tagged
             else:
                 verdict = check_access(AccessRequest(tagged, args[1]))
                 if verdict[0] is OK:
@@ -318,26 +319,24 @@ def run_trace(events: Iterable[TraceEvent], config: EngineConfig | None = None) 
             # (size, type_id) and (count, elem_size) are both positional
             record = (arena.alloc if op == "alloc" else arena.alloc_array)(
                 *args, scope_id=len(scopes) - 1 if scopes else None)
-            bindings[name] = record
+            bindings[name] = record.tagged
             if scopes:
                 scopes[-1].append(record)
         elif op == "free":
-            verdict = check_free(_record(name).tagged)
+            verdict = check_free(_bound(name))
             if verdict[0] is OK:
                 oks += 1
                 continue
         elif op == "realloc":
-            record = _record(name)
-            verdict, new_record = arena.realloc(record.tagged, args[0])
-            if new_record is not None:
-                bindings[name] = new_record
-                sid = new_record.scope_id
+            verdict, record = arena.realloc(_bound(name), args[0])
+            if record is not None:
+                bindings[name] = record.tagged
+                sid = record.scope_id
                 if sid is not None:
-                    scopes[sid].append(new_record)
+                    scopes[sid].append(record)
         elif op in copy_checks:
-            dst, src = _record(name), _record(name2)
-            verdict = copy_checks[op](cursors.get(dst.header_addr, dst.tagged),
-                                      cursors.get(src.header_addr, src.tagged), args[0])
+            dst, src = _bound(name), _bound(name2)
+            verdict = copy_checks[op](cursors.get(dst, dst), cursors.get(src, src), args[0])
         elif op == "scope_begin":
             scopes.append([])
         elif op == "scope_end":

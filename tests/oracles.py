@@ -92,27 +92,35 @@ def header_lookup_oracle(table, tagged: int) -> int:
     return table._entries.get(entry_key_oracle(table, addr, tag), 0)
 
 
-def lookup_oracle(arena, tagged: int):
+def lookup_oracle(arena, records, tagged: int):
     """Reference Arena.lookup: (kind or None, record or None) from
-    is_untagged, header_lookup_oracle and a scan of the arena's records."""
+    is_untagged, header_lookup_oracle and a scan of records, every
+    record the caller allocated in arena.
+
+    A dead big-framed record is gone: FRAMER keeps nothing of a released
+    big-framed object but its vacated entry, so a small-framed pointer
+    whose slot arithmetic lands on that object's header finds none there.
+    A dead small-framed record stays, header and liveness."""
     if is_untagged(tagged):
         return VerdictKind.UNTRACKED, None
     try:
         header = header_lookup_oracle(arena.table, tagged)
     except ArenaRangeError:
         return VerdictKind.OUT_OF_FRAME, None
-    record = next((r for r in arena.records if r.header_addr == header), None)
+    record = next((r for r in records if r.header_addr == header
+                   and (r.live or decode(r.tagged)[0])), None)
     if record is None and decode(tagged)[0]:
         return VerdictKind.OUT_OF_FRAME, None
     return None, record
 
 
-def check_access_oracle(arena, tagged: int, size: int, operand: str | None = None) -> tuple:
+def check_access_oracle(arena, records, tagged: int, size: int,
+                        operand: str | None = None) -> tuple:
     """Reference Checker.check_access verdict, as a plain (kind, address,
     alloc_id, operand) tuple, from lookup_oracle and the bounds rule in
     checker.py's docstring.  operand labels a violation only, as the copy
     checks label the operand they judge."""
-    kind, record = lookup_oracle(arena, tagged)
+    kind, record = lookup_oracle(arena, records, tagged)
     p = decode(tagged)[2]
     if kind is VerdictKind.UNTRACKED:
         return kind, tagged, None, None
@@ -128,21 +136,21 @@ def check_access_oracle(arena, tagged: int, size: int, operand: str | None = Non
     return VerdictKind.OK, p, record.id, None
 
 
-def copy_oracle(arena, op: str, dst: int, src: int, n: int) -> tuple:
+def copy_oracle(arena, records, op: str, dst: int, src: int, n: int) -> tuple:
     """Reference verdict of Checker.check_<op> for memcpy, strncpy and
     memset (n bytes) and strcpy (a string of length n): the destination
     is judged first, the source only by memcpy and strncpy, and a copy of
     two untracked operands or of no bytes has no address."""
     none = (None, None, None)
     if op == "strcpy":
-        return check_access_oracle(arena, dst, n + 1, "dst")
+        return check_access_oracle(arena, records, dst, n + 1, "dst")
     if n == 0:
         return (VerdictKind.OK,) + none
     passing = (VerdictKind.OK, VerdictKind.UNTRACKED)
-    verdict = check_access_oracle(arena, dst, n, "dst")
+    verdict = check_access_oracle(arena, records, dst, n, "dst")
     if op == "memset" or verdict[0] not in passing:
         return verdict
-    other = check_access_oracle(arena, src, n, "src")
+    other = check_access_oracle(arena, records, src, n, "src")
     if other[0] not in passing:
         return other
     if verdict[0] is other[0] is VerdictKind.UNTRACKED:
@@ -150,21 +158,27 @@ def copy_oracle(arena, op: str, dst: int, src: int, n: int) -> tuple:
     return (VerdictKind.OK,) + none
 
 
-def free_oracle(arena, tagged: int) -> tuple:
+def free_oracle(arena, records, tagged: int) -> tuple:
     """Reference Arena.free verdict from lookup_oracle: a live record is
     ok, a dead one or a vacated entry a double free."""
-    kind, record = lookup_oracle(arena, tagged)
+    kind, record = lookup_oracle(arena, records, tagged)
     if kind is None and (record is None or not record.live):
         kind = VerdictKind.DOUBLE_FREE
     return kind or VerdictKind.OK, decode(tagged)[2], record.id if record else None, None
 
 
 def _shown(tok: str, quoted: bool = True) -> str:
-    """A refusal repeats at most the first 40 characters of a token,
-    then gives its length."""
-    if len(tok) > 40:
-        return f"{_shown(tok[:40], quoted)}... ({len(tok)} characters)"
-    return repr(tok) if quoted else tok
+    """A refusal repeats the longest start of a token that shows in at
+    most 40 characters, between the quotes of its repr if quoted, then
+    gives its length if that start is not the whole token."""
+    start = ""
+    for c in tok:
+        wider = start + c
+        if len(repr(wider) if quoted else wider) > 40 + 2 * quoted:
+            break
+        start = wider
+    shown = repr(start) if quoted else start
+    return shown if start == tok else f"{shown}... ({len(tok)} characters)"
 
 
 def _line_refusal(toks: list[str], defined: set[str], depth: int) -> str | None:

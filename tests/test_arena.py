@@ -1,3 +1,5 @@
+import gc
+import math
 import random
 import tracemalloc
 
@@ -6,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frameguard.arena import Arena, ArenaExhausted, DEFAULT_ARENA_BASE
-from frameguard.frame_math import ADDRESS_MASK, SLOT_SIZE
+from frameguard.frame_math import ADDRESS_MASK, SLOT_SIZE, wrapper_frame
 from frameguard.metadata import ArenaRangeError, DivisionTable, EntryConflictError, HEADER_SIZE
 from frameguard.tagging import (
     FLAG_BIT, MAX_BIG_TAG, MIN_BIG_TAG, TAG_MASK, TAG_SHIFT, TagError, decode, rebase,
@@ -259,6 +261,97 @@ def test_accounting():
     assert st["total_allocations"] == 4
 
 
+def _bytes_kept_per_dead_allocation(size: int, pairs: int = 20_000) -> float:
+    """tracemalloc growth per alloc/free pair of size bytes, the arena kept."""
+    a = Arena(base=1 << 32, size=1 << 40)
+    a.free(a.alloc(size).tagged)      # one-time growth stays out of the count
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(pairs):
+            a.free(a.alloc(size).tagged)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    return kept / pairs
+
+
+def test_a_dead_big_framed_allocation_keeps_only_its_table_entry():
+    # about 61 B, the division-table entry the paper leaves vacated; a
+    # stored record with its frame kept 423 B
+    assert _bytes_kept_per_dead_allocation(1 << 17) <= 120
+    # a dead small-framed record stays for double_free: about 269 B,
+    # and no more than the 365 B a record with a frame tuple kept
+    assert _bytes_kept_per_dead_allocation(64) <= 365
+
+
+def test_the_store_keeps_live_and_dead_small_framed_records():
+    a = small_arena()
+    small, big, freed_small, freed_big = a.alloc(40), a.alloc(1 << 17), a.alloc(8), a.alloc(1 << 17)
+    a.free(freed_small.tagged)
+    a.free(freed_big.tagged)
+    assert a.records == [small, big, freed_small]
+    assert not freed_big.live
+    # the frame, rebuilt from n, is the region's: header to one past the end
+    assert freed_big.frame == wrapper_frame(freed_big.header_addr,
+                                            freed_big.obj_base + freed_big.raw_size)
+    assert a.free(freed_big.tagged).kind is VerdictKind.DOUBLE_FREE
+    assert a.free(freed_small.tagged) == (VerdictKind.DOUBLE_FREE, freed_small.obj_base,
+                                          freed_small.id, None)
+    assert a.alloc(1).id == 5
+
+
+_ops = st.one_of(
+    st.tuples(st.just("alloc"), st.sampled_from([1, 40, 3000, 1 << 16, 1 << 17])
+              | st.integers(1, 1 << 18)),
+    st.tuples(st.just("alloc_array"), st.integers(1, 300), st.sampled_from([1, 3, 8, 24, 512])),
+    st.tuples(st.just("free"), st.integers(0, 1 << 10)),
+    st.tuples(st.just("realloc"), st.integers(0, 1 << 10), st.integers(1, 1 << 18)),
+    st.tuples(st.just("scope_end"), st.lists(st.integers(0, 1 << 10), max_size=4)),
+)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.lists(_ops, max_size=30))
+def test_stats_match_a_recount_of_every_record(ops):
+    # running totals against a recount over every record this test
+    # allocated, including those the arena no longer stores
+    a = Arena(base=BASE, size=1 << 28)
+    records, end = [], a.base
+
+    def kept(record, total_bytes):
+        nonlocal end
+        records.append(record)
+        end = record.header_addr + total_bytes
+
+    for op, *args in ops:
+        pick = records[args[0] % len(records)] if records and op in ("free", "realloc") else None
+        if op == "alloc":
+            kept(a.alloc(args[0]), HEADER_SIZE + args[0])
+        elif op == "alloc_array":
+            count, elem = args
+            kept(a.alloc_array(count, elem), (count + math.ceil(HEADER_SIZE / elem)) * elem)
+        elif op == "free" and pick:
+            a.free(pick.tagged)
+        elif op == "realloc" and pick:
+            _, moved = a.realloc(pick.tagged, args[1])
+            if moved is not None:
+                kept(moved, HEADER_SIZE + args[1])
+        elif op == "scope_end" and records:
+            a.scope_end([records[i % len(records)] for i in args[0]])
+        live = sum(r.live for r in records)
+        assert a.stats() == dict(
+            live_allocations=live, live_header_bytes=HEADER_SIZE * live,
+            table_reserved_bytes=a.table.reserved_bytes,
+            table_touched_bytes=a.table.touched_bytes,
+            total_allocations=len(records), total_payload_bytes=sum(r.raw_size for r in records),
+            cursor_used_bytes=end - a.base)
+        assert [r.id for r in records] == list(range(1, len(records) + 1))
+        assert a.records == [r for r in records if r.live or r.is_small]
+
+
 def test_arena_exhaustion():
     a = Arena(base=BASE, size=1 << 16)
     with pytest.raises(ArenaExhausted):
@@ -340,14 +433,14 @@ def _outcome(fn, *args):
         return type(exc)
 
 
-def _resolve(arena, tagged):
+def _resolve(arena, records, tagged):
     """(header_lookup outcome, lookup outcome), asserted equal to the
-    reference's."""
+    reference's; records are every record allocated in arena."""
     table = arena.table
     header = _outcome(table.header_lookup, tagged)
     assert header == _outcome(header_lookup_oracle, table, tagged)
     found = _outcome(arena.lookup, tagged)
-    assert found == _outcome(lookup_oracle, arena, tagged)
+    assert found == _outcome(lookup_oracle, arena, records, tagged)
     return header, found
 
 
@@ -374,21 +467,24 @@ def test_resolvers_agree_with_reference_on_each_pointer_class():
         (TAG_MASK << TAG_SHIFT | addr, TagError, TagError),
     ]
     for tagged, header, found in cases:
-        assert _resolve(a, tagged) == (header, found), hex(tagged)
+        assert _resolve(a, [small, big, freed], tagged) == (header, found), hex(tagged)
 
 
 @st.composite
 def _arena_and_pointer(draw):
-    """Live and freed small- and big-framed objects, and a pointer: one
-    object's tagged pointer moved anywhere, a small or big tag over any
-    address, or a plain address."""
+    """Live and freed small- and big-framed objects, every record
+    allocated, and a pointer: one object's tagged pointer moved anywhere,
+    a small or big tag over any address, or a plain address."""
     a = small_arena()
     objects = st.tuples(st.integers(1, 1 << 18), st.booleans())
+    records = []
     for size, freed in draw(st.lists(objects, min_size=1, max_size=8)):
-        r = a.alloc(size)
+        records.append(a.alloc(size))
         if freed:
-            a.free(r.tagged)
-    r = draw(st.sampled_from(a.records))
+            a.free(records[-1].tagged)
+    # drawn from what was allocated: the arena no longer stores a freed
+    # big-framed record
+    r = draw(st.sampled_from(records))
     addr = draw(st.one_of(
         st.integers(max(0, r.obj_base - (1 << 17)), r.obj_base + r.raw_size + (1 << 17)),
         st.integers(BASE - (1 << 20), BASE + a.size + (1 << 20)),
@@ -397,12 +493,12 @@ def _arena_and_pointer(draw):
     ))
     form = draw(st.sampled_from(("object", "small", "big", "untagged")))
     if form == "object":
-        return a, rebase(r.tagged, addr)
+        return a, records, rebase(r.tagged, addr)
     if form == "untagged":
-        return a, addr
+        return a, records, addr
     tag = draw(st.one_of(st.integers(MIN_BIG_TAG - 2, MAX_BIG_TAG + 2),
                          st.integers(0, TAG_MASK)))
-    return a, (FLAG_BIT if form == "small" else 0) | tag << TAG_SHIFT | addr
+    return a, records, (FLAG_BIT if form == "small" else 0) | tag << TAG_SHIFT | addr
 
 
 @settings(deadline=None, max_examples=300)

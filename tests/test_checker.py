@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from frameguard.arena import Arena, ArenaExhausted, DEFAULT_ARENA_BASE
 from frameguard.checker import AccessRequest, Checker
-from frameguard.frame_math import ADDRESS_MASK, SLOT_BITS
+from frameguard.frame_math import ADDRESS_MASK, SLOT_BITS, SLOT_SIZE
+from frameguard.harness import parse_trace, run_trace
 from frameguard.metadata import ArenaRangeError
 from frameguard.tagging import (
     FLAG_BIT, MAX_BIG_TAG, MIN_BIG_TAG, TAG_MASK, TAG_SHIFT, TagError, decode, rebase)
@@ -75,6 +76,32 @@ def test_small_framed_use_after_free_goes_unseen():
     r = arena.alloc(40)
     arena.free(r.tagged)
     assert access(ck, r, 0, 1).kind is VerdictKind.OK
+
+
+def test_a_far_small_pointer_finds_no_freed_big_header():
+    # s's header starts its slot, and the filler ends the slot, so b's
+    # header starts the next one: s's pointer moved there resolves to b's
+    # header by slot arithmetic.  Live, b judges the access; freed, b
+    # leaves only its vacated entry, so the pointer left its slot.
+    arena, ck = setup()
+    s = arena.alloc(40)
+    arena.alloc(SLOT_SIZE - 64 - 16)
+    b = arena.alloc(1 << 17)
+    assert s.header_addr % SLOT_SIZE == b.header_addr % SLOT_SIZE == 0
+    far = rebase(s.tagged, b.obj_base)
+    assert ck.check_access(AccessRequest(far, 4)) == (VerdictKind.OK, b.obj_base, b.id, None)
+    below = AccessRequest(rebase(far, b.obj_base - 1), 1)
+    assert ck.check_access(below).kind is VerdictKind.UNDERFLOW
+    arena.free(b.tagged)
+    assert ck.check_access(AccessRequest(far, 4)) == (VerdictKind.OUT_OF_FRAME, b.obj_base,
+                                                     None, None)
+    assert ck.check_free(far).kind is VerdictKind.OUT_OF_FRAME
+    # b's own pointer still meets its vacated entry
+    assert access(ck, b, 0, 1).kind is VerdictKind.USE_AFTER_FREE
+
+    trace = (f"alloc s 40\nalloc f {SLOT_SIZE - 80}\nalloc b {1 << 17}\n"
+             f"load s {SLOT_SIZE} 4\nfree b\nload s {SLOT_SIZE} 4\n")
+    assert run_trace(parse_trace(trace)).violations == [(5, "out_of_frame")]
 
 
 def test_header_bytes_always_underflow():
@@ -411,7 +438,7 @@ def _engine_and_pointers(draw):
             addr = arena.base - draw(st.integers(1, 1 << 20))
         p = draw(_addresses) if where == "plain" else rebase(r.tagged, addr)
         pointers.append((p, draw(st.integers(0, 70))))
-    return arena, ck, pointers
+    return arena, ck, records, pointers
 
 
 @settings(max_examples=200, deadline=None)
@@ -419,7 +446,7 @@ def _engine_and_pointers(draw):
 def test_whole_verdicts_agree_with_the_reference(case):
     # every field of every verdict, including those built with
     # tuple.__new__, which must still be Verdicts
-    arena, ck, pointers = case
+    arena, ck, records, pointers = case
 
     def agrees(verdict, expected):
         assert type(verdict) is Verdict and tuple(verdict) == expected
@@ -430,13 +457,14 @@ def test_whole_verdicts_agree_with_the_reference(case):
 
     for p, n in pointers:
         if n:
-            agrees(ck.check_access(AccessRequest(p, n)), check_access_oracle(arena, p, n))
-        agrees(ck.check_memset(p, n), copy_oracle(arena, "memset", p, p, n))
+            agrees(ck.check_access(AccessRequest(p, n)), check_access_oracle(arena, records, p, n))
+        agrees(ck.check_memset(p, n), copy_oracle(arena, records, "memset", p, p, n))
         for q, _ in pointers:
             for op in ("memcpy", "strncpy", "strcpy"):
-                agrees(getattr(ck, f"check_{op}")(p, q, n), copy_oracle(arena, op, p, q, n))
+                agrees(getattr(ck, f"check_{op}")(p, q, n),
+                       copy_oracle(arena, records, op, p, q, n))
     for p, _ in pointers:
-        expected = free_oracle(arena, p)   # before the free changes the arena
+        expected = free_oracle(arena, records, p)   # before the free changes the arena
         agrees(arena.free(p), expected)
 
 

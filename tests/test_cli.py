@@ -204,6 +204,31 @@ def test_an_error_line_cuts_long_operands(argv, start, tmp_path, capsys, monkeyp
     assert len(err) - 1 <= 200 and " characters)" in err
 
 
+_SEE_HELP = "... (see frameguard --help)\n"
+
+
+@pytest.mark.parametrize("argv, start, end", [
+    # three 300-character words, each cut to about 60: a 242-character line
+    (["run", "t.txt"] + [c * 300 for c in "abc"], "unrecognized arguments: ", _SEE_HELP),
+    # three 99-character words, too short to cut one by one
+    (["run", "t.txt"] + ["x" * 99] * 3, "unrecognized arguments: ", _SEE_HELP),
+    # an OSError echoes the path whole; its words stay under 100 characters
+    (["gen", "--seed", "1", "--objects", "2", "--out", "no/" + " ".join(["y" * 90] * 5)],
+     "[Errno ", "...\n"),
+], ids=["three_cut_words", "three_uncut_words", "spaced_out_path"])
+def test_an_error_line_is_bounded_whatever_its_operands(argv, start, end, tmp_path, capsys,
+                                                         monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "t.txt").write_text("alloc a 8\n")
+    try:
+        status = main(argv)
+    except SystemExit as exc:
+        status = exc.code
+    err = capsys.readouterr().err
+    assert status == 2 and err.count("\n") == 1 and len(err) - 1 == 200
+    assert err.startswith(f"frameguard: {start}") and err.endswith(end)
+
+
 _GEN = ["gen", "--seed", "5", "--objects", "2"]
 
 
@@ -299,9 +324,15 @@ _FUZZ_OPTIONS = {
 }
 
 
+# operands no option takes: argparse echoes each of them in one line
+_FUZZ_OPERANDS = st.lists(
+    st.builds(lambda d, c: c * d, st.integers(1, 400), st.sampled_from("xZ9")),
+    min_size=1, max_size=4)
+
+
 @st.composite
 def _fuzz_options(draw) -> list[str]:
-    argv = []
+    argv = draw(_FUZZ_OPERANDS) if draw(st.integers(0, 3)) == 0 else []
     for flag, values in _FUZZ_OPTIONS.items():
         if draw(st.integers(0, 3)) == 0:
             argv += [flag, draw(st.one_of(st.sampled_from(values), _FUZZ_INTS))]

@@ -196,6 +196,35 @@ def test_syntax_errors_show_a_bounded_part_of_a_long_token(source, message):
     assert "line %d: %s" % trace_refusal_oracle(io.StringIO(source)) == message
 
 
+# tokens whose repr is wider than they are: each escape shows up to
+# 10 characters for one, and a quote can change the quoting
+_escaped_tokens = st.text(
+    st.sampled_from(["\U000e0001", "\x01", "\u200b", "\\", "'", '"', "x", "\u00e9"]),
+    min_size=1, max_size=80)
+_any_tokens = st.text(min_size=1, max_size=80).filter(lambda t: t.split() == [t] and "#" not in t)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_escaped_tokens, _any_tokens),
+       st.sampled_from(["load {} 0 1", "{} a", "alloc a {}", "alloc a 8\nmemcpy a {} 1"]))
+@example("\U000e0001" * 40, "load {} 0 1")
+def test_a_refusal_shows_a_bounded_width_of_any_token(tok, template):
+    source = template.format(tok) + "\n"
+    try:
+        parse_trace(source)
+    except TraceSyntaxError as e:
+        message = str(e)
+    else:   # tok was an op name, an integer or a defined id
+        return
+    assert len(message) <= 200
+    assert "line %d: %s" % trace_refusal_oracle(io.StringIO(source)) == message
+    # the run-time error names an id the same way
+    if template == "load {} 0 1":
+        with pytest.raises(TraceRuntimeError) as e:
+            run_trace(parse_trace(f"alloc {tok} 8\nload {tok} 0x1000000000000 1\n"))
+        assert len(str(e.value)) <= 200
+
+
 _powers_of_ten = st.builds(lambda k, d, sign: sign * (10 ** k + d),
                           st.integers(0, 9000), st.integers(-1, 1), st.sampled_from([1, -1]))
 _wide_ints = st.integers(0, 30000).flatmap(lambda bits: st.integers(-(1 << bits), 1 << bits))
