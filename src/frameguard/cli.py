@@ -2,8 +2,8 @@
 
 Exit status: 0 on success, 1 when violations were found and
 --fail-on-violation is set, 2 on unusable input, with one `frameguard:`
-line of at most LINE_MAX characters that cuts any long operand, whatever
-text echoes it.
+line of at most LINE_MAX characters that escapes any line end and cuts
+any long operand, whatever text echoes it.
 """
 
 from __future__ import annotations
@@ -32,10 +32,15 @@ LINE_MAX = 200      # characters in an exit-2 line, its newline aside
 
 
 def _line(message: str, tail: str = "") -> str:
-    """The `frameguard: ...` line for message then tail.  Each word past 100
-    characters is cut, as argparse and OSError echo operands whole; paths
-    that long and per-site cuts pass unchanged.  If the line is still past
-    LINE_MAX, as with many long operands, the message is cut to fit."""
+    """The `frameguard: ...` line for message then tail.  A character
+    that is not printable, such as a line end or separator that argparse
+    echoes raw from an operand, shows as its escape (\\n for LF), so the
+    line is one line.  Each word past 100 characters is then cut, as
+    argparse and OSError echo operands whole; paths that long and per-site
+    cuts pass unchanged.  If the line is still past LINE_MAX, as with many
+    long operands, the message is cut to fit."""
+    if not message.isprintable():
+        message = "".join(c if c.isprintable() else repr(c)[1:-1] for c in message)
     message = " ".join(cut(word, False) if len(word) > 100 else word
                        for word in message.split(" "))
     room = LINE_MAX - len("frameguard: ") - len(tail)

@@ -416,20 +416,40 @@ class WorkloadParams:
         _parse_size_dist(self.size_dist)
 
 
+def _below(rng: random.Random):
+    """below(n) is rng.randrange(n) for n >= 1, drawn as CPython draws it:
+    getrandbits(n.bit_length()) until the value is under n, with
+    getrandbits bound once and none of randrange's wrapper calls."""
+    getrandbits = rng.getrandbits
+
+    def below(n: int) -> int:
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return r
+
+    return below
+
+
 def _parse_size_dist(spec: str):
+    """spec's sampler: sampler(below, rand) is one size drawn as
+    rng.randint(LO, HI) or 2 ** rng.uniform(log2 LO, log2 HI) would draw
+    it, through `_below(rng)` and rng.random."""
     parts = spec.split(":")
     try:
         if parts[0] == "fixed" and len(parts) == 2:
             value = int(parts[1])
             lo = hi = value
-            sampler = lambda rng: value
+            sampler = lambda below, rand: value
         elif parts[0] == "uniform" and len(parts) == 3:
             lo, hi = int(parts[1]), int(parts[2])
-            sampler = lambda rng: rng.randint(lo, hi)
+            sampler = lambda below, rand: lo + below(hi - lo + 1)
         elif parts[0] == "loguniform" and len(parts) == 3:
             lo, hi = int(parts[1]), int(parts[2])
             lo_exp, hi_exp = math.log2(max(lo, 1)), math.log2(max(hi, 1))
-            sampler = lambda rng: min(hi, max(lo, int(2 ** rng.uniform(lo_exp, hi_exp))))
+            sampler = lambda below, rand: min(
+                hi, max(lo, int(2 ** (lo_exp + (hi_exp - lo_exp) * rand()))))
         else:
             raise ValueError
     except ValueError:
@@ -447,69 +467,81 @@ def gen_workload(seed: int, params: WorkloadParams) -> tuple[list[TraceEvent], d
 
     The manifest maps event index to the expected violation kind; a run
     of the trace must flag exactly those events and nothing else.
+
+    A trace is a function of (seed, params) alone, on every supported
+    CPython: each value in it is what random.Random(seed)'s randrange,
+    randint, choice and uniform would draw, in the same order.  The
+    integers are drawn through `_below`, without those methods' calls.
     """
     rng = random.Random(seed)
+    below, rand = _below(rng), rng.random
     sample_size = _parse_size_dist(params.size_dist)
+    kinds, fault_rate = params.fault_kinds, params.fault_rate
+    new = tuple.__new__
 
-    queues: list[list[tuple[TraceEvent, str | None]]] = []
+    # each object's events, last first; an event the manifest lists is
+    # queued as an (event, kind) pair
+    queues: list[list] = []
     for k in range(params.objects):
         name = f"o{k}"
-        faults = [
-            rng.choice(params.fault_kinds)
-            for _ in range(params.accesses_per_object)
-            if rng.random() < params.fault_rate
-        ]
+        faults = [kinds[below(len(kinds))]
+                  for _ in range(params.accesses_per_object) if rand() < fault_rate]
         spatial = [f for f in faults if f in SPATIAL_FAULT_KINDS]
         temporal = [f for f in faults if f in TEMPORAL_FAULT_KINDS]
         normal_accesses = params.accesses_per_object - len(faults)
 
-        size = sample_size(rng)
+        size = sample_size(below, rand)
         if "use_after_free" in temporal:
             # force a big wrapper frame so the vacated entry is observable
-            size = max(size, (1 << 16) + rng.randrange(1 << 16))
-        seq: list[tuple[TraceEvent, str | None]] = []
-        if rng.random() < params.array_fraction:
-            elem = rng.choice([e for e in _ARRAY_ELEM_SIZES if e <= size])
+            size = max(size, (1 << 16) + below(1 << 16))
+        if rand() < params.array_fraction:
+            elems = [e for e in _ARRAY_ELEM_SIZES if e <= size]
+            elem = elems[below(len(elems))]
             count = max(1, size // elem)
             size = count * elem
-            seq.append((TraceEvent("alloc_array", id=name, args=(count, elem)), None))
+            seq = [new(TraceEvent, ("alloc_array", name, "", (count, elem)))]
         else:
-            seq.append((TraceEvent("alloc", id=name, args=(size, 0)), None))
+            seq = [new(TraceEvent, ("alloc", name, "", (size, 0)))]
+        append = seq.append
 
         for _ in range(normal_accesses):
-            offset = rng.randrange(size)
-            access = rng.randint(1, min(8, size - offset))
-            op = "store" if rng.random() < 0.5 else "load"
-            seq.append((TraceEvent(op, id=name, args=(offset, access)), None))
+            offset = below(size)
+            room = size - offset
+            access = 1 + below(room if room < 8 else 8)
+            op = "store" if rand() < 0.5 else "load"
+            append(new(TraceEvent, (op, name, "", (offset, access))))
         if params.edge_probe:
             spatial += SPATIAL_FAULT_KINDS
         for kind in spatial:
             offset = size if kind == "overflow" else -1
-            seq.append((TraceEvent("store", id=name, args=(offset, 1)), kind))
+            append((new(TraceEvent, ("store", name, "", (offset, 1))), kind))
+        free = new(TraceEvent, ("free", name, "", ()))
         if temporal:
-            seq.append((TraceEvent("free", id=name), None))
+            append(free)
             for kind in temporal:
                 if kind == "use_after_free":
-                    seq.append((TraceEvent("load", id=name, args=(0, 1)), "use_after_free"))
+                    append((new(TraceEvent, ("load", name, "", (0, 1))), kind))
                 else:
-                    seq.append((TraceEvent("free", id=name), "double_free"))
-        elif rng.random() < params.free_fraction:
-            seq.append((TraceEvent("free", id=name), None))
-        queues.append(seq[::-1])    # reversed: pop() takes the object's next event
+                    append((free, kind))
+        elif rand() < params.free_fraction:
+            append(free)
+        queues.append(seq[::-1])
 
     # interleave objects' sequences, preserving each object's own order
     events: list[TraceEvent] = []
+    append = events.append
     manifest: dict[int, str] = {}
     while queues:
-        slot = rng.randrange(len(queues))
+        slot = below(len(queues))
         queue = queues[slot]
-        ev, expected = queue.pop()
+        ev = queue.pop()
         if not queue:
             queues[slot] = queues[-1]
             queues.pop()
-        if expected is not None:
-            manifest[len(events)] = expected
-        events.append(ev)
+        if ev.__class__ is tuple:   # not a TraceEvent: an (event, kind) pair
+            ev, kind = ev
+            manifest[len(events)] = kind
+        append(ev)
     return events, manifest
 
 

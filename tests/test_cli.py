@@ -5,12 +5,20 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from frameguard import cli
 from frameguard.cli import main
-from frameguard.harness import _GRAMMAR, EngineConfig, WorkloadParams, gen_workload, run_trace
+from frameguard.harness import (
+    _GRAMMAR,
+    EngineConfig,
+    WorkloadParams,
+    format_trace,
+    gen_workload,
+    parse_trace,
+    run_trace,
+)
 
 
 def test_run_text_and_json(tmp_path, capsys):
@@ -229,6 +237,21 @@ def test_an_error_line_is_bounded_whatever_its_operands(argv, start, end, tmp_pa
     assert err.startswith(f"frameguard: {start}") and err.endswith(end)
 
 
+# the line ends str.splitlines() knows, and other control characters
+_CONTROLS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029\x00\x1b\t"
+
+
+@pytest.mark.parametrize("char", list(_CONTROLS) + ["\r\n"],
+                         ids=lambda c: repr(c)[1:-1].replace("\\", ""))
+def test_an_error_line_escapes_control_characters_of_operands(char, capsys):
+    # argparse echoes an unrecognized argument raw, not as its repr
+    with pytest.raises(SystemExit) as e:
+        main(["run", "t.txt", f"a{char}b"])
+    assert e.value.code == 2
+    assert capsys.readouterr().err == (
+        f"frameguard: unrecognized arguments: a{repr(char)[1:-1]}b (see frameguard --help)\n")
+
+
 _GEN = ["gen", "--seed", "5", "--objects", "2"]
 
 
@@ -324,9 +347,10 @@ _FUZZ_OPTIONS = {
 }
 
 
-# operands no option takes: argparse echoes each of them in one line
+# operands no option takes: argparse echoes each of them raw in one line
 _FUZZ_OPERANDS = st.lists(
-    st.builds(lambda d, c: c * d, st.integers(1, 400), st.sampled_from("xZ9")),
+    st.one_of(st.builds(lambda d, c: c * d, st.integers(1, 400), st.sampled_from("xZ9")),
+              st.text(alphabet="xZ9 " + _CONTROLS, min_size=1, max_size=40)),
     min_size=1, max_size=4)
 
 
@@ -359,7 +383,85 @@ def test_any_stdin_and_options_exit_0_1_or_2_with_one_error_line(data, options):
     assert "Traceback" not in err
     assert status in (0, 1, 2)
     if status == 2:
-        assert err.startswith("frameguard: ") and err.endswith("\n") and err.count("\n") == 1
-        assert len(err) - 1 <= 200
+        _assert_one_error_line(err)
     else:
         assert err == ""
+
+
+def _assert_one_error_line(err: str) -> None:
+    """err is one `frameguard:` line of at most 200 printable characters."""
+    assert err.startswith("frameguard: ") and err.endswith("\n")
+    assert err[:-1].isprintable() and len(err) - 1 <= 200
+
+
+# -- any gen option values: exit 0 with a trace that replays to its
+# manifest, or exit 2 -----------------------------------------------------
+
+def _mostly(valid, invalid):
+    """A value from valid, or one time in eight from invalid."""
+    return st.integers(0, 7).flatmap(lambda i: invalid if i == 0 else valid)
+
+
+_SIZE = st.integers(1, 1 << 20)
+_FRACTION = _mostly(st.one_of(st.sampled_from(("0", "1", "1e-9", "0x0p0")), st.floats(0, 1).map(str)),
+                    st.sampled_from(("-0.1", "1.01", "nan", "inf", "-inf", "x", "", "0x1")))
+
+_GEN_FUZZ_OPTIONS = {
+    "--sizes": _mostly(
+        st.one_of(st.builds("fixed:{}".format, _SIZE),
+                  st.builds(lambda rule, a, b: f"{rule}:{min(a, b)}:{max(a, b)}",
+                            st.sampled_from(("uniform", "loguniform")), _SIZE, _SIZE)),
+        st.one_of(st.sampled_from(("fixed:0", "uniform:9:8", "loguniform:1:1048577", "fixed:-1",
+                                   "fixed", "uniform:1", "uniform:1:2:3", "gauss:1:2", "fixed:x",
+                                   "", ":", "fixed:1e3")),
+                  st.builds("fixed:{}".format, st.integers(-(1 << 70), 1 << 70)))),
+    "--faults": _FRACTION,
+    "--fault-kinds": _mostly(
+        st.lists(st.sampled_from(("overflow", "underflow", "use_after_free", "double_free", "")),
+                 min_size=1, max_size=5).map(",".join),
+        st.sampled_from(("bogus", "OVERFLOW", "overflow,,x", " overflow"))),
+    # at most 40 accesses of each of at most 20 objects: a small trace
+    "--accesses": _mostly(st.integers(0, 40).map(str),
+                          st.sampled_from(("-1", "x", "2.5", "", "9" * 5000))),
+    "--arrays": _FRACTION,
+    "--free-fraction": _FRACTION,
+}
+
+
+@st.composite
+def _fuzz_gen_argv(draw) -> list[str]:
+    objects = draw(_mostly(st.integers(1, 20).map(str), st.sampled_from(("0", "-1", "x", ""))))
+    argv = ["gen", "--seed", str(draw(st.integers(-(1 << 70), 1 << 70))), "--objects", objects]
+    for flag, values in _GEN_FUZZ_OPTIONS.items():
+        if draw(st.booleans()):
+            argv += [flag, draw(values)]
+    if draw(st.booleans()):
+        argv.append("--edge-probe")
+    return argv
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_fuzz_gen_argv())
+def test_any_gen_options_exit_0_with_a_trace_that_replays_its_manifest_or_2(argv, tmp_path):
+    manifest_file = tmp_path / "m.json"
+    manifest_file.unlink(missing_ok=True)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            status = main(argv + ["--manifest", str(manifest_file)])
+        except SystemExit as exc:    # argparse refusing an option value
+            status = exc.code
+    err = err.getvalue()
+    assert "Traceback" not in err
+    assert status in (0, 2)
+    if status == 2:
+        _assert_one_error_line(err)
+        return
+    assert err == ""
+    text = out.getvalue()
+    events = parse_trace(text)
+    assert format_trace(events) == text
+    manifest = json.loads(manifest_file.read_text())
+    assert manifest["fault_count"] == len(manifest["faults"])
+    assert run_trace(events).violations == [(f["event"], f["kind"]) for f in manifest["faults"]]

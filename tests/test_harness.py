@@ -3,7 +3,9 @@ import gc
 import hashlib
 import importlib.util
 import io
+import json
 import math
+import random
 import sys
 import tracemalloc
 from decimal import Decimal
@@ -797,6 +799,31 @@ def test_run_trace_reads_any_iterable_once():
 
 # -- workload generation -------------------------------------------------
 
+# 1, 2**k and 2**k +- 1 up to 2**21, where n.bit_length() steps, and any n
+_DRAW_BOUNDS = st.one_of(
+    st.sampled_from(sorted({m for k in range(22) for m in (2 ** k - 1, 2 ** k, 2 ** k + 1)
+                            if 1 <= m <= 2 ** 21})),
+    st.integers(1, 2 ** 21))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 64),
+       requests=st.lists(st.tuples(st.sampled_from(("randrange", "randint", "choice")),
+                                   _DRAW_BOUNDS), max_size=40))
+def test_below_draws_what_randrange_randint_and_choice_draw(seed, requests):
+    rng, twin = random.Random(seed), random.Random(seed)
+    below = harness._below(rng)
+    for method, n in requests:
+        if method == "randrange":
+            assert below(n) == twin.randrange(n)
+        elif method == "randint":
+            assert 1 + below(n) == twin.randint(1, n)
+        else:
+            seq = range(10, 10 + n)
+            assert seq[below(len(seq))] == twin.choice(seq)
+    assert rng.getstate() == twin.getstate()
+
+
 def test_workload_no_faults_manifest_empty():
     events, manifest = gen_workload(7, WorkloadParams(objects=100))
     assert manifest == {}
@@ -1017,3 +1044,36 @@ def test_benchmark_workload_reports_are_pinned():
         digests = tuple(hashlib.sha256(emit_report(report, fmt).encode()).hexdigest()
                         for fmt in ("json", "text"))
         assert digests == (json_sha, text_sha), name
+
+
+# SHA-256 of format_trace(events) and of the JSON of the manifest's
+# sorted (index, kind) pairs, for each benchmark workload and for one
+# parameter set at two size rules that between them reach every draw
+# gen_workload makes, all at seed 7
+_EVERY_DRAW = dict(objects=400, accesses_per_object=6, fault_rate=0.2,
+                   fault_kinds=("overflow", "underflow", "use_after_free", "double_free"),
+                   edge_probe=True, array_fraction=0.5, free_fraction=0.3)
+_GEN_SHA256 = {
+    "mixed": ("45b69094683aedfca9b11d7f97af29ed0520754cc64844d3022fd0ef507eb298",
+              "9bf871977ac1d3a5c0d896b131de234f437ed696feff821854e1cbc10634b8e7"),
+    "small_hot": ("84cf703fa7e8268d585e761fc2f41460ca4b4dcb8c381765784007451fd648ef",
+                  "99fe77401c84cb4830f939dca7c840b6d15480dd7436c5ac09344953d78c2bd7"),
+    "big_churn": ("8de74e6f078f2af449f56fc57f519e0588e8a8321b72eaf297388ab037882dcc",
+                  "9f1f03af9206ff920bd5f8e1a5cd7f62aeddc07ece65649f39120c7ea4a73242"),
+    "fixed:300": ("42329d6851018ee9daf455ae8737bf2c0f83110d30198098b01e6a5f41b5dd99",
+                  "6a53584263c46fe58efa41057a1ed86bc7ee084209d81124b5dc9d511abda61e"),
+    "uniform:1:4096": ("a4f63e8e90f19754dd168e1b66b09d65d05696a52cfdb52fe5accb20c60a027c",
+                       "8f61596af65a555d32c8b2c01e86f4fc721a31740aa45efa3703470810bbdb34"),
+}
+
+
+def test_generated_traces_and_manifests_are_pinned():
+    params = {name: workload.params for name, workload in _bench_workloads().items()}
+    params.update((dist, WorkloadParams(size_dist=dist, **_EVERY_DRAW))
+                  for dist in ("fixed:300", "uniform:1:4096"))
+    assert params.keys() == _GEN_SHA256.keys()
+    for name, (trace_sha, manifest_sha) in _GEN_SHA256.items():
+        events, manifest = gen_workload(7, params[name])
+        digests = (hashlib.sha256(format_trace(events).encode()).hexdigest(),
+                   hashlib.sha256(json.dumps(sorted(manifest.items())).encode()).hexdigest())
+        assert digests == (trace_sha, manifest_sha), name
