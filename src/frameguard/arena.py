@@ -3,9 +3,10 @@
 The arena owns placement and the allocation lifecycle: it writes a
 16-byte header below each object, computes the wrapper frame over the
 whole region (header through object end plus the fake padding), tags
-the returned pointer, and keeps the division table current, naming a
-big-framed object's entry by its frame alone.  The fake padding is
-imaginary: it widens the frame so one-past-end pointers stay
+the returned pointer, and keeps the division table current: it sets a
+big-framed object's entry by its frame and keeps the key set_entry
+returns, so release vacates the entry with no frame math.  The fake
+padding is imaginary: it widens the frame so one-past-end pointers stay
 resolvable, but consumes no storage and may overlap a neighbour.
 
 Placement is a 16-aligned bump cursor, optionally with randomized gaps
@@ -16,7 +17,8 @@ mints a tag.  Addresses are never reused.
 
 Each allocation has one AllocationRecord, keyed by its header address
 in the only record store; the record holds what the header bytes hold
-(raw size and type id) and its frame's log-size n.  The store holds the
+(raw size and type id), its frame's log-size n and its table key, and
+derives its header address from the object base.  The store holds the
 live records and the dead small-framed ones, following FRAMER's
 lifetime rule: a released big-framed object leaves only its vacated
 division-table entry, so its record leaves the store, while a released
@@ -50,6 +52,8 @@ DEFAULT_ARENA_BASE = 1 << 44          # 0x0000_1000_0000_0000
 DEFAULT_ARENA_SIZE = 1 << 28
 DEFAULT_PAD_BYTES = 1                 # FRAMER's fake padding: one-past-end pointers resolve
 
+_new = tuple.__new__    # builds a named tuple without its Python-level __new__
+
 
 class ArenaExhausted(RuntimeError):
     """The bump cursor ran past the end of the arena."""
@@ -57,10 +61,16 @@ class ArenaExhausted(RuntimeError):
 
 @dataclass(slots=True)
 class AllocationRecord:
-    """Bookkeeping for one allocation, live or dead."""
+    """Bookkeeping for one allocation, live or dead.
+
+    key is the division-table key set_entry returned for a big-framed
+    record, and 0 for a small-framed one (0 is also a real key, so n,
+    not key, tells the classes apart).  The header address is derived:
+    it always sits HEADER_SIZE bytes below the object base.
+    """
 
     id: int
-    header_addr: int
+    key: int
     obj_base: int
     raw_size: int
     n: int          # log2 of the wrapper frame size
@@ -68,6 +78,10 @@ class AllocationRecord:
     type_id: int = 0
     live: bool = True
     scope_id: int | None = None
+
+    @property
+    def header_addr(self) -> int:
+        return self.obj_base - HEADER_SIZE
 
     @property
     def frame(self) -> WrapperFrame:
@@ -128,14 +142,15 @@ class Arena:
         n = wrapper_frame(header_addr, end - 1 + self.pad_bytes).n
         if n <= SLOT_BITS:
             tagged = FLAG_BIT | (header_addr & (SLOT_SIZE - 1)) << TAG_SHIFT | obj_base
+            key = 0
         else:
-            self.table.set_entry(obj_base, n, header_addr)
+            key = self.table.set_entry(obj_base, n, header_addr)
             tagged = n << TAG_SHIFT | obj_base
         self._cursor = end
         self._allocations += 1
         self._payload += raw_size
         self._live += 1
-        record = AllocationRecord(self._allocations, header_addr, obj_base, raw_size,
+        record = AllocationRecord(self._allocations, key, obj_base, raw_size,
                                   n, tagged, type_id, True, scope_id)
         self._by_header[header_addr] = record
         return record
@@ -186,7 +201,7 @@ class Arena:
         # payload would be copied up to min(old, new) here; contents are
         # not modelled, only geometry and metadata
         self._release(old)
-        return Verdict(OK, address=new.obj_base, alloc_id=new.id), new
+        return _new(Verdict, (OK, new.obj_base, new.id, None)), new
 
     def free(self, tagged: int) -> Verdict:
         """Release through the hidden base (the header address).
@@ -199,7 +214,7 @@ class Arena:
         if fail is not None:
             return fail
         self._release(record)
-        return Verdict(OK, tagged & ADDRESS_MASK, record.id)
+        return _new(Verdict, (OK, tagged & ADDRESS_MASK, record.id, None))
 
     def scope_end(self, records: list[AllocationRecord]) -> None:
         """Epilogue for a closing scope: vacate big-frame entries and
@@ -239,17 +254,16 @@ class Arena:
         if kind is None and (record is None or not record.live):
             kind = DOUBLE_FREE
         if kind is not None:
-            return Verdict(kind, address=tagged & ADDRESS_MASK,
-                           alloc_id=record.id if record else None), None
+            return _new(Verdict, (kind, tagged & ADDRESS_MASK,
+                                  record.id if record else None, None)), None
         return None, record
 
     def _release(self, record: AllocationRecord) -> None:
-        n = record.n
-        if n > SLOT_BITS:
+        if record.n > SLOT_BITS:
             # the vacated entry now answers for every pointer of the
             # object, so its record leaves the store
-            self.table.reset_entry(record.obj_base, n)
-            del self._by_header[record.header_addr]
+            self.table.reset_entry(record.key)
+            del self._by_header[record.obj_base - HEADER_SIZE]
         record.live = False
         self._live -= 1
         # a small-framed header stays in place, as it would in a real heap

@@ -149,5 +149,7 @@ class Checker:
         return self._operand(dst, src_strlen + 1, "dst")
 
     def check_free(self, tagged: int) -> Verdict:
-        """Deallocation check and release, delegated to the arena."""
+        """Deallocation check and release, delegated to the arena: a
+        library entry point only, since run_trace frees through
+        Arena.free itself."""
         return self.arena.free(tagged)

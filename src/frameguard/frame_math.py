@@ -44,5 +44,6 @@ def wrapper_frame(lo: int, hi: int) -> WrapperFrame:
     if lo > hi:
         raise RegionError(f"region lower bound {lo:#x} above upper bound {hi:#x}")
     n = (lo ^ hi).bit_length()
-    return WrapperFrame(n, lo & ~((1 << n) - 1))
+    # tuple.__new__ skips the named tuple's Python-level __new__
+    return tuple.__new__(WrapperFrame, (n, lo & ~((1 << n) - 1)))
 

@@ -277,7 +277,8 @@ def run_trace(events: Iterable[TraceEvent], config: EngineConfig | None = None) 
     arena = Arena(base=config.arena_base, size=config.arena_size, pad_bytes=config.pad_bytes,
                   placement_jitter=config.placement_jitter, rng=rng)
     checker = Checker(arena)
-    check_access, check_free = checker.check_access, checker.check_free
+    check_access = checker.check_access
+    alloc, alloc_array, free = arena.alloc, arena.alloc_array, arena.free
     copy_checks = {"memcpy": checker.check_memcpy, "strcpy": checker.check_strcpy,
                    "strncpy": checker.check_strncpy}
     # each id's canonical tagged pointer: it addresses the object base
@@ -315,15 +316,18 @@ def run_trace(events: Iterable[TraceEvent], config: EngineConfig | None = None) 
                 if verdict[0] is OK:
                     oks += 1
                     continue
-        elif op in ("alloc", "alloc_array"):
-            # (size, type_id) and (count, elem_size) are both positional
-            record = (arena.alloc if op == "alloc" else arena.alloc_array)(
-                *args, scope_id=len(scopes) - 1 if scopes else None)
-            bindings[name] = record.tagged
+        elif op == "alloc" or op == "alloc_array":
+            make = alloc if op == "alloc" else alloc_array
+            # (size, type_id) and (count, elem_size) are both positional,
+            # so scope_id, whose position differs, goes by keyword
             if scopes:
+                record = make(*args, scope_id=len(scopes) - 1)
                 scopes[-1].append(record)
+            else:
+                record = make(*args)
+            bindings[name] = record.tagged
         elif op == "free":
-            verdict = check_free(_bound(name))
+            verdict = free(bindings.get(name) or _bound(name))
             if verdict[0] is OK:
                 oks += 1
                 continue

@@ -14,7 +14,9 @@ wrapped by that frame, or zero when vacant.  Zero doubles as the
 release marker, which is what makes double frees and use-after-free of
 big-framed objects observable.  The full table is virtual, reserved and
 never allocated: only entries ever set are stored.  Callers name an
-entry by its frame (addr, n); only entry_index knows the table layout.
+entry by its frame (addr, n) when they set it, and set_entry returns
+the entry's key; release names the entry by that key, so vacating it
+does no frame math.  Only entry_index knows the table layout.
 
 DivisionTable.header_lookup is the only code that turns a tagged
 pointer into a header address, and Arena.lookup is its only caller: it
@@ -106,18 +108,20 @@ class DivisionTable:
     def get_entry(self, addr: int, n: int) -> int:
         return self._entries.get(self.entry_index(addr, n), 0)
 
-    def set_entry(self, addr: int, n: int, header_addr: int) -> None:
-        """Record a big-framed object's header; the entry must be vacant."""
+    def set_entry(self, addr: int, n: int, header_addr: int) -> int:
+        """Record a big-framed object's header and return the entry's
+        key; the entry must be vacant."""
         key = self.entry_index(addr, n)
         occupant = self._entries.get(key, 0)
         if occupant:
             raise EntryConflictError(f"entry {divmod(key, ENTRIES_PER_DIVISION)} already holds "
                                      f"header {occupant:#x}; refused {header_addr:#x}")
         self._entries[key] = header_addr
+        return key
 
-    def reset_entry(self, addr: int, n: int) -> int:
-        """Vacate the n-frame's entry and return its prior content (zero if already vacant)."""
-        key = self.entry_index(addr, n)
+    def reset_entry(self, key: int) -> int:
+        """Vacate the entry set_entry keyed and return its prior content
+        (zero if already vacant)."""
         prior = self._entries.get(key, 0)
         if prior:
             # a never-set entry stays absent and out of touched_bytes

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frameguard.arena import Arena, ArenaExhausted, DEFAULT_ARENA_BASE
+from frameguard.arena import AllocationRecord, Arena, ArenaExhausted, DEFAULT_ARENA_BASE
 from frameguard.frame_math import ADDRESS_MASK, SLOT_SIZE, wrapper_frame
 from frameguard.metadata import ArenaRangeError, DivisionTable, EntryConflictError, HEADER_SIZE
 from frameguard.tagging import (
@@ -352,6 +352,46 @@ def test_stats_match_a_recount_of_every_record(ops):
         assert a.records == [r for r in records if r.live or r.is_small]
 
 
+@settings(deadline=None, max_examples=150)
+@given(st.lists(_ops, max_size=30))
+def test_each_record_keeps_its_table_key(ops):
+    # the key a record keeps is the one its frame names, so release
+    # vacates the right entry with no frame math
+    a = Arena(base=BASE, size=1 << 28)
+    records = []
+    for op, *args in ops:
+        pick = records[args[0] % len(records)] if records and op in ("free", "realloc") else None
+        if op == "alloc":
+            records.append(a.alloc(args[0]))
+        elif op == "alloc_array":
+            records.append(a.alloc_array(*args))
+        elif op == "free" and pick:
+            a.free(pick.tagged)
+        elif op == "realloc" and pick:
+            _, moved = a.realloc(pick.tagged, args[1])
+            if moved is not None:
+                records.append(moved)
+        elif op == "scope_end" and records:
+            a.scope_end([records[i % len(records)] for i in args[0]])
+        for r in records:
+            assert r.header_addr == r.obj_base - HEADER_SIZE
+            if r.is_small:
+                assert r.key == 0
+            elif r.live:
+                assert r.key == a.table.entry_index(r.obj_base, r.n)
+                assert a.table.get_entry(r.obj_base, r.n) == r.header_addr
+            else:
+                assert a.table.get_entry(r.obj_base, r.n) == 0
+
+
+def test_a_record_keeps_nine_slots():
+    # header_addr is derived, so the table key costs no slot
+    assert AllocationRecord.__slots__ == ("id", "key", "obj_base", "raw_size", "n", "tagged",
+                                          "type_id", "live", "scope_id")
+    r = small_arena().alloc(1 << 17)
+    assert not hasattr(r, "__dict__")
+
+
 def test_arena_exhaustion():
     a = Arena(base=BASE, size=1 << 16)
     with pytest.raises(ArenaExhausted):
@@ -382,9 +422,10 @@ def test_largest_arena_is_built_lazily():
 
     t = DivisionTable(DEFAULT_ARENA_BASE, size)
     last = (DEFAULT_ARENA_BASE + ((t.division_count - 1) << 16), 16)   # the last division
-    t.set_entry(*last, 0xABC0)
+    key = t.set_entry(*last, 0xABC0)
+    assert key == t.entry_index(*last)
     assert t.get_entry(*last) == 0xABC0
-    assert t.reset_entry(*last) == 0xABC0
+    assert t.reset_entry(key) == 0xABC0
     assert t.get_entry(*last) == 0
     assert t.touched_bytes == 384
 

@@ -636,6 +636,20 @@ def test_realloc_in_a_scope_is_released_at_its_scope_end():
     assert report.verdicts["ok"] == 1 and sum(report.verdicts.values()) == 2
 
 
+@pytest.mark.parametrize("moves", ["", "realloc a 200000\nrealloc b 200000\n"])
+@pytest.mark.parametrize("depth", [1, 2])
+def test_allocations_in_a_scope_are_released_at_its_scope_end(moves, depth):
+    # alloc and alloc_array take the scope id at different positions; a
+    # realloc takes its scope from the record, so a scope id that landed
+    # in alloc_array's type_id would leave the moved object live
+    text = ("scope_begin\n" * depth + "alloc_array a 4 8\nalloc b 8 7\n" + moves
+            + "scope_end\n" * depth)
+    report = run_trace(parse_trace(text))
+    assert report.live_stats["live_allocations"] == 0
+    assert report.live_stats["total_allocations"] == 2 + 2 * bool(moves)
+    assert report.violations == []
+
+
 @pytest.mark.parametrize("outer", [False, True])
 def test_outer_id_reallocated_in_an_inner_scope_survives_it(outer):
     text = "alloc a 40\nscope_begin\nrealloc a 200000\nscope_end\nload a 0 1\n"

@@ -90,29 +90,31 @@ def test_a_frame_below_the_base_keys_into_the_first_division():
 def test_set_reset_entry_lifecycle():
     t = DivisionTable(BASE, 1 << 24)
     frame = (BASE + (16 << 16), 20)   # division 16, slot 4
-    t.set_entry(*frame, 0xFFF0)
+    key = t.set_entry(*frame, 0xFFF0)
+    assert key == t.entry_index(*frame) == 16 * ENTRIES_PER_DIVISION + 4
     assert t.get_entry(*frame) == 0xFFF0
 
     with pytest.raises(EntryConflictError) as e:
         t.set_entry(*frame, 0xAAA0)
     assert str(e.value) == "entry (16, 4) already holds header 0xfff0; refused 0xaaa0"
 
-    assert t.reset_entry(*frame) == 0xFFF0
+    assert t.reset_entry(key) == 0xFFF0
     assert t.get_entry(*frame) == 0
-    assert t.reset_entry(*frame) == 0  # idempotent, zero signals the double free
+    assert t.reset_entry(key) == 0  # idempotent, zero signals the double free
 
-    t.set_entry(*frame, 0xBBB0)  # set after reset succeeds again
+    assert t.set_entry(*frame, 0xBBB0) == key  # set after reset succeeds again
     assert t.get_entry(*frame) == 0xBBB0
 
 
 def test_touched_bytes_tracks_divisions_in_use():
     t = DivisionTable(BASE, 1 << 24)
     assert t.touched_bytes == 0
-    t.set_entry(BASE + (32 << 16), 16, 0x10)   # two entries of division 32
+    key = t.set_entry(BASE + (32 << 16), 16, 0x10)   # two entries of division 32
+    assert key == t.entry_index(BASE + (32 << 16), 16)
     t.set_entry(BASE + (32 << 16), 21, 0x20)
     t.set_entry(BASE + (9 << 16), 16, 0x30)
     assert t.touched_bytes == 2 * ENTRIES_PER_DIVISION * 8
-    t.reset_entry(BASE + (32 << 16), 16)
+    t.reset_entry(key)
     assert t.touched_bytes == 2 * ENTRIES_PER_DIVISION * 8  # once used, paged in
 
 
@@ -126,9 +128,10 @@ def test_header_lookup_small():
 def test_header_lookup_big_and_vacancy():
     t = DivisionTable(BASE, 1 << 24)
     p = BASE + (1 << 20) + 0x2345
-    t.set_entry(p, 20, 0xDEAD0)
+    key = t.set_entry(p, 20, 0xDEAD0)
+    assert key == t.entry_index(p, 20)
     assert t.header_lookup(tag_big(20, p)) == 0xDEAD0
-    t.reset_entry(p, 20)
+    t.reset_entry(key)
     assert t.header_lookup(tag_big(20, p)) == 0  # vacancy: released object
 
 
