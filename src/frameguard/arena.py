@@ -13,7 +13,8 @@ Placement is a 16-aligned bump cursor, optionally with randomized gaps
 to exercise arbitrary object arrangements; one private step,
 _register, places, frames, tags and records an allocation, moving the
 cursor last so a refused one leaves no trace.  It is the only code that
-mints a tag.  Addresses are never reused.
+mints a tag.  Addresses are never reused.  A new record joins the
+innermost open lexical scope, a moved one its old record's scope.
 
 Each allocation has one AllocationRecord, keyed by its header address
 in the only record store; the record holds what the header bytes hold
@@ -77,7 +78,7 @@ class AllocationRecord:
     tagged: int
     type_id: int = 0
     live: bool = True
-    scope_id: int | None = None
+    scope_id: int | None = None     # its scope's index, None if unscoped (a list makes a cycle)
 
     @property
     def header_addr(self) -> int:
@@ -121,6 +122,8 @@ class Arena:
         self._by_header: dict[int, AllocationRecord] = {}
         # running totals for stats(); ids number the allocations from 1
         self._allocations = self._payload = self._live = 0
+        self._scopes: list[list[AllocationRecord]] = []     # innermost last
+        self._scope: int | None = None      # the innermost open scope's index
 
     # -- placement ----------------------------------------------------
 
@@ -153,21 +156,22 @@ class Arena:
         record = AllocationRecord(self._allocations, key, obj_base, raw_size,
                                   n, tagged, type_id, True, scope_id)
         self._by_header[header_addr] = record
+        if scope_id is not None:
+            self._scopes[scope_id].append(record)
         return record
 
     # -- lifecycle ----------------------------------------------------
 
-    def alloc(self, size: int, type_id: int = 0, scope_id: int | None = None) -> AllocationRecord:
+    def alloc(self, size: int, type_id: int = 0) -> AllocationRecord:
         """Allocate size bytes behind a fresh header; returns the record.
 
         The tagged pointer (record.tagged) addresses the object base,
         which always sits HEADER_SIZE bytes above the header.
         """
         check_header_fields(size, type_id)
-        return self._register(size, HEADER_SIZE + size, type_id, scope_id)
+        return self._register(size, HEADER_SIZE + size, type_id, self._scope)
 
-    def alloc_array(self, count: int, elem_size: int, type_id: int = 0,
-                    scope_id: int | None = None) -> AllocationRecord:
+    def alloc_array(self, count: int, elem_size: int, type_id: int = 0) -> AllocationRecord:
         """Allocate count elements plus the minimum extra elements that
         hold the header.
 
@@ -181,7 +185,7 @@ class Arena:
         total = (count + extra) * elem_size
         raw_size = count * elem_size
         check_header_fields(raw_size, type_id)
-        return self._register(raw_size, total, type_id, scope_id)
+        return self._register(raw_size, total, type_id, self._scope)
 
     def realloc(self, tagged: int, new_size: int) -> tuple[Verdict, AllocationRecord | None]:
         """Move an allocation to a fresh region of new_size bytes.
@@ -216,9 +220,15 @@ class Arena:
         self._release(record)
         return _new(Verdict, (OK, tagged & ADDRESS_MASK, record.id, None))
 
-    def scope_end(self, records: list[AllocationRecord]) -> None:
-        """Epilogue for a closing scope: vacate big-frame entries and
-        mark the scope's records dead."""
+    def scope_begin(self) -> None:
+        """Open a scope inside the open ones; it is innermost until its scope_end."""
+        self._scope = len(self._scopes)
+        self._scopes.append([])
+
+    def scope_end(self) -> None:
+        """Release the innermost open scope's live records; IndexError if none is open."""
+        records = self._scopes.pop()
+        self._scope = len(self._scopes) - 1 if self._scopes else None
         for record in records:
             if record.live:
                 self._release(record)

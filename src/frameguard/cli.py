@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from dataclasses import MISSING, fields
 
 from .arena import ArenaExhausted
@@ -121,11 +122,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    if args.trace == "-":
-        text = sys.stdin.read()
-    else:
-        with open(args.trace, "r", encoding="utf-8") as fh:
-            text = fh.read()
+    with open(args.trace, "rb") if args.trace != "-" else nullcontext(sys.stdin.buffer) as fh:
+        text = fh.read().decode("utf-8")    # strict UTF-8 from stdin too, whatever the locale
     report = run_trace(parse_trace(text), _build(EngineConfig, args))
     sys.stdout.write(emit_report(report, "json" if args.json else "text"))
     return 1 if args.fail_on_violation and report.violations else 0

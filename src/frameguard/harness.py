@@ -32,9 +32,9 @@ Each load/store composes a pointer at base+offset from the object's
 canonical tagged pointer; ptr_add moves a cursor pointer of the id's
 current allocation, which starts at the object base, and the
 copy/string events consume that cursor, so arithmetic sequences can be
-expressed.  Allocations inside scope_begin/scope_end belong to the
-innermost open scope and are released at its scope_end, the way frame
-entries of non-static locals are vacated in a function epilogue.
+expressed.  An alloc inside scope_begin/scope_end joins the innermost
+open scope, a realloc keeps its object's scope, and scope_end releases
+the scope's live objects, as a function epilogue vacates its locals.
 
 Each line parses to a `TraceEvent` named tuple (op, id, id2, args)
 whose op is the `_GRAMMAR` key, whose ids are the strings of their
@@ -284,7 +284,6 @@ def run_trace(events: Iterable[TraceEvent], config: EngineConfig | None = None) 
     # each id's canonical tagged pointer: it addresses the object base
     bindings: dict[str, int] = {}
     cursors: dict[int, int] = {}    # canonical pointer -> pointer ptr_add moved
-    scopes: list[list] = []         # the records each open scope releases
     counts = dict.fromkeys(VerdictKind, 0)
     oks = 0     # ok verdicts of load, store and free, kept apart from counts
     violations: list[tuple[int, str]] = []
@@ -317,15 +316,7 @@ def run_trace(events: Iterable[TraceEvent], config: EngineConfig | None = None) 
                     oks += 1
                     continue
         elif op == "alloc" or op == "alloc_array":
-            make = alloc if op == "alloc" else alloc_array
-            # (size, type_id) and (count, elem_size) are both positional,
-            # so scope_id, whose position differs, goes by keyword
-            if scopes:
-                record = make(*args, scope_id=len(scopes) - 1)
-                scopes[-1].append(record)
-            else:
-                record = make(*args)
-            bindings[name] = record.tagged
+            bindings[name] = (alloc if op == "alloc" else alloc_array)(*args).tagged
         elif op == "free":
             verdict = free(bindings.get(name) or _bound(name))
             if verdict[0] is OK:
@@ -335,18 +326,16 @@ def run_trace(events: Iterable[TraceEvent], config: EngineConfig | None = None) 
             verdict, record = arena.realloc(_bound(name), args[0])
             if record is not None:
                 bindings[name] = record.tagged
-                sid = record.scope_id
-                if sid is not None:
-                    scopes[sid].append(record)
         elif op in copy_checks:
             dst, src = _bound(name), _bound(name2)
             verdict = copy_checks[op](cursors.get(dst, dst), cursors.get(src, src), args[0])
         elif op == "scope_begin":
-            scopes.append([])
+            arena.scope_begin()
         elif op == "scope_end":
-            if not scopes:
-                raise TraceRuntimeError("scope_end without matching scope_begin")
-            arena.scope_end(scopes.pop())
+            try:
+                arena.scope_end()
+            except IndexError:
+                raise TraceRuntimeError("scope_end without matching scope_begin") from None
         else:
             raise TraceRuntimeError(f"unknown operation {cut(op)}")
         if verdict is not None:

@@ -4,7 +4,7 @@ import random
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from frameguard.arena import AllocationRecord, Arena, ArenaExhausted, DEFAULT_ARENA_BASE
@@ -171,20 +171,25 @@ def test_free_verdicts():
 
 def test_scope_end_resets_big_entries():
     a = small_arena()
-    big = a.alloc(1 << 17, scope_id=0)
-    small = a.alloc(40, scope_id=0)
-    a.scope_end([big, small])
+    a.scope_begin()
+    big = a.alloc(1 << 17)
+    small = a.alloc(40)
+    a.scope_end()
     assert a.table.get_entry(big.obj_base, big.frame.n) == 0
     assert not big.live and not small.live
     # already-freed records are left alone
-    a.scope_end([big, small])
+    a.scope_begin()
+    for record in (a.alloc(1 << 17), a.alloc(40)):
+        a.free(record.tagged)
+    a.scope_end()
 
 
 def test_scope_end_with_only_small_records_leaves_table_alone():
     a = small_arena()
-    locals_ = [a.alloc(24, scope_id=0) for _ in range(5)]
+    a.scope_begin()
+    locals_ = [a.alloc(24) for _ in range(5)]
     before = a.table.touched_bytes
-    a.scope_end(locals_)
+    a.scope_end()
     assert a.table.touched_bytes == before == 0
     assert all(not r.live for r in locals_)
 
@@ -231,6 +236,7 @@ def test_wide_padding_can_conflict():
 
 def test_accounting():
     a = small_arena()
+    a.scope_begin()
     for size in (40, 1 << 17, 24):
         a.alloc(size)
 
@@ -255,7 +261,9 @@ def test_accounting():
     st = a.stats()
     assert (st["live_allocations"], st["live_header_bytes"]) == (2, 32)
     assert live_payload() == (1 << 17) + 100
-    a.scope_end([a.records[1], moved])
+    # the moved record stays in its old record's scope
+    assert moved.scope_id == 0
+    a.scope_end()
     st = a.stats()
     assert (st["live_allocations"], st["live_header_bytes"], live_payload()) == (0, 0, 0)
     assert st["total_allocations"] == 4
@@ -309,7 +317,8 @@ _ops = st.one_of(
     st.tuples(st.just("alloc_array"), st.integers(1, 300), st.sampled_from([1, 3, 8, 24, 512])),
     st.tuples(st.just("free"), st.integers(0, 1 << 10)),
     st.tuples(st.just("realloc"), st.integers(0, 1 << 10), st.integers(1, 1 << 18)),
-    st.tuples(st.just("scope_end"), st.lists(st.integers(0, 1 << 10), max_size=4)),
+    st.tuples(st.just("scope_begin")),
+    st.tuples(st.just("scope_end")),
 )
 
 
@@ -319,7 +328,7 @@ def test_stats_match_a_recount_of_every_record(ops):
     # running totals against a recount over every record this test
     # allocated, including those the arena no longer stores
     a = Arena(base=BASE, size=1 << 28)
-    records, end = [], a.base
+    records, end, depth = [], a.base, 0
 
     def kept(record, total_bytes):
         nonlocal end
@@ -339,8 +348,12 @@ def test_stats_match_a_recount_of_every_record(ops):
             _, moved = a.realloc(pick.tagged, args[1])
             if moved is not None:
                 kept(moved, HEADER_SIZE + args[1])
-        elif op == "scope_end" and records:
-            a.scope_end([records[i % len(records)] for i in args[0]])
+        elif op == "scope_begin":
+            a.scope_begin()
+            depth += 1
+        elif op == "scope_end" and depth:
+            a.scope_end()
+            depth -= 1
         live = sum(r.live for r in records)
         assert a.stats() == dict(
             live_allocations=live, live_header_bytes=HEADER_SIZE * live,
@@ -358,7 +371,7 @@ def test_each_record_keeps_its_table_key(ops):
     # the key a record keeps is the one its frame names, so release
     # vacates the right entry with no frame math
     a = Arena(base=BASE, size=1 << 28)
-    records = []
+    records, depth = [], 0
     for op, *args in ops:
         pick = records[args[0] % len(records)] if records and op in ("free", "realloc") else None
         if op == "alloc":
@@ -371,8 +384,12 @@ def test_each_record_keeps_its_table_key(ops):
             _, moved = a.realloc(pick.tagged, args[1])
             if moved is not None:
                 records.append(moved)
-        elif op == "scope_end" and records:
-            a.scope_end([records[i % len(records)] for i in args[0]])
+        elif op == "scope_begin":
+            a.scope_begin()
+            depth += 1
+        elif op == "scope_end" and depth:
+            a.scope_end()
+            depth -= 1
         for r in records:
             assert r.header_addr == r.obj_base - HEADER_SIZE
             if r.is_small:
@@ -382,6 +399,47 @@ def test_each_record_keeps_its_table_key(ops):
                 assert a.table.get_entry(r.obj_base, r.n) == r.header_addr
             else:
                 assert a.table.get_entry(r.obj_base, r.n) == 0
+
+
+@settings(deadline=None, max_examples=500)
+@given(st.lists(_ops, max_size=40))
+# an outer record moved inside a nested scope, and a nested scope ending
+@example([("alloc", 1), ("scope_begin",), ("realloc", 0, 1), ("scope_end",)])
+@example([("scope_begin",), ("alloc", 1), ("scope_begin",), ("scope_end",)])
+def test_liveness_matches_a_model_of_nested_scopes(ops):
+    # the model: a stack of id sets, one per open scope; scope_end kills
+    # the innermost set's ids, and a realloc moves its id's membership
+    a = Arena(base=BASE, size=1 << 28)
+    records, live, scopes = [], {}, []
+    for op, *args in ops:
+        pick = records[args[0] % len(records)] if records and op in ("free", "realloc") else None
+        if op in ("alloc", "alloc_array"):
+            new = a.alloc(args[0]) if op == "alloc" else a.alloc_array(*args)
+            records.append(new)
+            live[new.id] = True
+            if scopes:
+                scopes[-1].add(new.id)
+        elif op == "free" and pick:
+            a.free(pick.tagged)
+            live[pick.id] = False
+        elif op == "realloc" and pick:
+            _, moved = a.realloc(pick.tagged, args[1])
+            assert (moved is not None) == live[pick.id]
+            if moved is not None:
+                records.append(moved)
+                live[pick.id], live[moved.id] = False, True
+                for ids in scopes:
+                    if pick.id in ids:
+                        ids.remove(pick.id)
+                        ids.add(moved.id)
+        elif op == "scope_begin":
+            a.scope_begin()
+            scopes.append(set())
+        elif op == "scope_end" and scopes:
+            a.scope_end()
+            for i in scopes.pop():
+                live[i] = False
+        assert [r.live for r in records] == [live[r.id] for r in records]
 
 
 def test_a_record_keeps_nine_slots():

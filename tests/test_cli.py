@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -84,7 +85,8 @@ def test_environment_sets_no_option(tmp_path, capsys, monkeypatch):
 def test_run_reads_stdin(tmp_path, capsys, monkeypatch):
     import io
 
-    monkeypatch.setattr(sys, "stdin", io.StringIO("alloc a 8\nload a 0 1\n"))
+    stdin = io.TextIOWrapper(io.BytesIO(b"alloc a 8\nload a 0 1\n"), encoding="utf-8")
+    monkeypatch.setattr(sys, "stdin", stdin)
     assert main(["run", "-"]) == 0
     assert "ok=1" in capsys.readouterr().out
 
@@ -102,7 +104,9 @@ def test_a_frame_below_the_arena_base_is_served(capsys, monkeypatch):
     # b's 19-frame [0, 0x80000) begins below the base 0x30000
     import io
 
-    monkeypatch.setattr(sys, "stdin", io.StringIO("alloc a 0xFFE0\nalloc b 64\nstore b 0 4\n"))
+    stdin = io.TextIOWrapper(io.BytesIO(b"alloc a 0xFFE0\nalloc b 64\nstore b 0 4\n"),
+                             encoding="utf-8")
+    monkeypatch.setattr(sys, "stdin", stdin)
     argv = ["run", "-", "--arena-base", "0x30000", "--arena-size", "0x100000",
             "--fail-on-violation"]
     assert main(argv) == 0
@@ -119,6 +123,25 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["verdicts"]["ok"] == 1
+
+
+@pytest.mark.parametrize("locale", ["C", "C.UTF-8"])
+def test_stdin_is_decoded_as_a_file_is_whatever_the_locale(locale, tmp_path):
+    # under C and C.UTF-8 Python reads stdin with surrogateescape, which
+    # would let invalid UTF-8 through where a file refuses it
+    data = b"alloc \xff 8\nload \xff 0 1\n"
+    trace = tmp_path / "t.txt"
+    trace.write_bytes(data)
+    env = {**os.environ, "LC_ALL": locale}
+    env.pop("PYTHONIOENCODING", None)
+    env.pop("PYTHONUTF8", None)
+    run = [sys.executable, "-m", "frameguard", "run"]
+    from_file = subprocess.run(run + [str(trace)], capture_output=True, env=env)
+    from_stdin = subprocess.run(run + ["-"], input=data, capture_output=True, env=env)
+    for proc in (from_file, from_stdin):
+        assert proc.returncode == 2 and proc.stdout == b""
+        assert proc.stderr.startswith(b"frameguard: ") and proc.stderr.count(b"\n") == 1
+    assert from_stdin.stderr == from_file.stderr
 
 
 def test_bad_trace_exits_2_with_line(tmp_path, capsys):
