@@ -14,7 +14,8 @@ to exercise arbitrary object arrangements; one private step,
 _register, places, frames, tags and records an allocation, moving the
 cursor last so a refused one leaves no trace.  It is the only code that
 mints a tag.  Addresses are never reused.  A new record joins the
-innermost open lexical scope, a moved one its old record's scope.
+innermost open lexical scope, a moved one its old record's scope, and
+release takes it out, so an open scope holds only live records.
 
 Each allocation has one AllocationRecord, keyed by its header address
 in the only record store; the record holds what the header bytes hold
@@ -60,7 +61,7 @@ class ArenaExhausted(RuntimeError):
     """The bump cursor ran past the end of the arena."""
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)    # one allocation each: equal only to itself
 class AllocationRecord:
     """Bookkeeping for one allocation, live or dead.
 
@@ -78,7 +79,7 @@ class AllocationRecord:
     tagged: int
     type_id: int = 0
     live: bool = True
-    scope_id: int | None = None     # its scope's index, None if unscoped (a list makes a cycle)
+    scope: dict[int, AllocationRecord] | None = None    # its open scope until release, or None
 
     @property
     def header_addr(self) -> int:
@@ -122,13 +123,12 @@ class Arena:
         self._by_header: dict[int, AllocationRecord] = {}
         # running totals for stats(); ids number the allocations from 1
         self._allocations = self._payload = self._live = 0
-        self._scopes: list[list[AllocationRecord]] = []     # innermost last
-        self._scope: int | None = None      # the innermost open scope's index
+        self._scopes: list[dict[int, AllocationRecord]] = []    # open scopes, innermost last
 
     # -- placement ----------------------------------------------------
 
     def _register(self, raw_size: int, total_bytes: int, type_id: int,
-                  scope_id: int | None) -> AllocationRecord:
+                  scope: dict[int, AllocationRecord] | None) -> AllocationRecord:
         """Place total_bytes at the cursor, then frame, tag and record
         the allocation; the cursor moves only once nothing refused it.
         The table keeps obj_base inside the 48-bit space, a small frame
@@ -154,10 +154,10 @@ class Arena:
         self._payload += raw_size
         self._live += 1
         record = AllocationRecord(self._allocations, key, obj_base, raw_size,
-                                  n, tagged, type_id, True, scope_id)
+                                  n, tagged, type_id, True, scope)
         self._by_header[header_addr] = record
-        if scope_id is not None:
-            self._scopes[scope_id].append(record)
+        if scope is not None:
+            scope[header_addr] = record
         return record
 
     # -- lifecycle ----------------------------------------------------
@@ -169,7 +169,7 @@ class Arena:
         which always sits HEADER_SIZE bytes above the header.
         """
         check_header_fields(size, type_id)
-        return self._register(size, HEADER_SIZE + size, type_id, self._scope)
+        return self._register(size, HEADER_SIZE + size, type_id, (self._scopes or (None,))[-1])
 
     def alloc_array(self, count: int, elem_size: int, type_id: int = 0) -> AllocationRecord:
         """Allocate count elements plus the minimum extra elements that
@@ -185,7 +185,7 @@ class Arena:
         total = (count + extra) * elem_size
         raw_size = count * elem_size
         check_header_fields(raw_size, type_id)
-        return self._register(raw_size, total, type_id, self._scope)
+        return self._register(raw_size, total, type_id, (self._scopes or (None,))[-1])
 
     def realloc(self, tagged: int, new_size: int) -> tuple[Verdict, AllocationRecord | None]:
         """Move an allocation to a fresh region of new_size bytes.
@@ -201,7 +201,7 @@ class Arena:
         fail, old = self._resolve_live(tagged)
         if fail is not None:
             return fail, None
-        new = self._register(new_size, HEADER_SIZE + new_size, old.type_id, old.scope_id)
+        new = self._register(new_size, HEADER_SIZE + new_size, old.type_id, old.scope)
         # payload would be copied up to min(old, new) here; contents are
         # not modelled, only geometry and metadata
         self._release(old)
@@ -221,17 +221,13 @@ class Arena:
         return _new(Verdict, (OK, tagged & ADDRESS_MASK, record.id, None))
 
     def scope_begin(self) -> None:
-        """Open a scope inside the open ones; it is innermost until its scope_end."""
-        self._scope = len(self._scopes)
-        self._scopes.append([])
+        """Open an empty scope inside the open ones; it is innermost until its scope_end."""
+        self._scopes.append({})
 
     def scope_end(self) -> None:
-        """Release the innermost open scope's live records; IndexError if none is open."""
-        records = self._scopes.pop()
-        self._scope = len(self._scopes) - 1 if self._scopes else None
-        for record in records:
-            if record.live:
-                self._release(record)
+        """Close the innermost scope, releasing the live records it holds; IndexError if none."""
+        for record in list(self._scopes.pop().values()):
+            self._release(record)
 
     # -- resolution ---------------------------------------------------
 
@@ -274,6 +270,9 @@ class Arena:
             # object, so its record leaves the store
             self.table.reset_entry(record.key)
             del self._by_header[record.obj_base - HEADER_SIZE]
+        if record.scope is not None:
+            del record.scope[record.obj_base - HEADER_SIZE]
+            record.scope = None     # a dead small-framed record stays stored
         record.live = False
         self._live -= 1
         # a small-framed header stays in place, as it would in a real heap

@@ -121,11 +121,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _std(name: str):
+    """sys.stdin or sys.stdout, which Python sets to None when that
+    descriptor was closed at start: unusable input."""
+    stream = getattr(sys, name)
+    if stream is None:
+        raise OSError(f"standard {'input' if name == 'stdin' else 'output'} is closed")
+    return stream
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
-    with open(args.trace, "rb") if args.trace != "-" else nullcontext(sys.stdin.buffer) as fh:
+    with open(args.trace, "rb") if args.trace != "-" else nullcontext(_std("stdin").buffer) as fh:
         text = fh.read().decode("utf-8")    # strict UTF-8 from stdin too, whatever the locale
     report = run_trace(parse_trace(text), _build(EngineConfig, args))
-    sys.stdout.write(emit_report(report, "json" if args.json else "text"))
+    _std("stdout").write(emit_report(report, "json" if args.json else "text"))
     return 1 if args.fail_on_violation and report.violations else 0
 
 
@@ -136,7 +145,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
-        sys.stdout.write(text)
+        _std("stdout").write(text)
     if args.manifest:
         payload = {
             "seed": args.seed,

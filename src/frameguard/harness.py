@@ -447,7 +447,9 @@ def _parse_size_dist(spec: str):
             raise ValueError
     except ValueError:
         raise ValueError(f"bad size distribution {spec!r}") from None
-    if not 1 <= lo <= hi <= MAX_WORKLOAD_OBJECT_SIZE:
+    if lo > hi:
+        raise ValueError(f"size distribution {spec!r} has LO above HI")
+    if lo < 1 or hi > MAX_WORKLOAD_OBJECT_SIZE:
         raise ValueError(f"size distribution {spec!r} outside [1, {MAX_WORKLOAD_OBJECT_SIZE}]")
     return sampler
 

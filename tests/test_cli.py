@@ -319,6 +319,37 @@ def test_each_flag_sets_its_field_and_omitted_flags_the_defaults(
         assert seen == [(5, WorkloadParams(objects=2, **fields))]
 
 
+_CLOSED = "frameguard: standard {} is closed\n"
+
+
+@pytest.mark.parametrize("argv, closed, status, err", [
+    (_GEN + ["--sizes", "uniform:5:3"], None, 2,
+     "frameguard: size distribution 'uniform:5:3' has LO above HI\n"),
+    (["run", "-"], "stdin", 2, _CLOSED.format("input")),
+    (["run", "t.txt"], "stdout", 2, _CLOSED.format("output")),
+    (_GEN, "stdout", 2, _CLOSED.format("output")),
+    (_GEN + ["--out", "g.txt"], "stdout", 0, ""),     # writing a file needs no stdout
+], ids=["sizes_lo_above_hi", "run_stdin_closed", "run_stdout_closed", "gen_stdout_closed",
+        "gen_out_stdout_closed"])
+def test_unusable_input_found_past_argparse_exits_2_with_its_line(
+        argv, closed, status, err, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "t.txt").write_text("alloc a 8\n")
+    if closed:
+        # Python sets sys.stdin or sys.stdout to None when its descriptor is closed
+        monkeypatch.setattr(sys, closed, None)
+    assert main(argv) == status
+    assert capsys.readouterr().err == err
+    if status == 0:
+        assert (tmp_path / "g.txt").read_text().startswith("alloc")
+
+
+def test_a_closed_stdin_exits_2_with_one_line():
+    proc = subprocess.run(["sh", "-c", '"$0" -m frameguard run - <&-', sys.executable],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", _CLOSED.format("input"))
+
+
 # -- any stdin, any option values: exit 0, 1 or 2, never a traceback ------
 
 _FUZZ_INTS = st.one_of(
