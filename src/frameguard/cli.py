@@ -3,7 +3,8 @@
 Exit status: 0 on success, 1 when violations were found and
 --fail-on-violation is set, 2 on unusable input, with one `frameguard:`
 line of at most LINE_MAX characters that escapes any line end and cuts
-any long operand, whatever text echoes it.
+any long operand, whatever text echoes it.  With stderr closed, unusable
+input still exits 2, with no line.
 """
 
 from __future__ import annotations
@@ -52,8 +53,10 @@ def _line(message: str, tail: str = "") -> str:
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):
-        """One `frameguard: ...` line and exit 2, as for any unusable input."""
-        self.exit(2, _line(message, f" (see {self.prog} --help)"))
+        """One `frameguard: ...` line and exit 2, as for any unusable input;
+        no line when stderr is closed, which Python 3.10's argparse would
+        try to write to."""
+        self.exit(2, None if sys.stderr is None else _line(message, f" (see {self.prog} --help)"))
 
 
 def integer(value: str) -> int:
@@ -163,5 +166,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (TraceRuntimeError, ArenaExhausted, EntryConflictError, ValueError, OSError) as exc:
-        sys.stderr.write(_line(str(exc)))
+        if sys.stderr is not None:      # None when descriptor 2 was closed at start
+            sys.stderr.write(_line(str(exc)))
         return 2

@@ -242,25 +242,27 @@ def parse_trace(source: str | Iterable[str]) -> list[TraceEvent]:
     return events
 
 
-def _templates(op: str, spec: _Op) -> tuple[str, str | None, int]:
-    """%-templates over an event's ids and args, with and without the optional field."""
-    n = spec.ids + len(spec.fields)
-    full = " ".join([op] + ["%s"] * n)
-    return full, (full[:-3] if spec.optional else None), spec.ids
-
-
-_TEMPLATES = {op: _templates(op, spec) for op, spec in _GRAMMAR.items()}
+# each op's line shape for format_trace: (ids, fields, last field optional)
+_SHAPES = {op: (spec.ids, len(spec.fields), spec.optional) for op, spec in _GRAMMAR.items()}
 
 
 def format_trace(events: Sequence[TraceEvent]) -> str:
-    """Serialize events back to trace text (inverse of parse_trace)."""
+    """Serialize events back to trace text (inverse of parse_trace), one
+    f-string per line by the op's `_SHAPES` row; args that do not fit it
+    raise TypeError."""
     lines = []
-    for ev in events:
-        template, short, n_ids = _TEMPLATES[ev.op]
-        args = ev.args
-        if short is not None and not args[-1]:
-            template, args = short, args[:-1]
-        lines.append(template % ((ev.id, ev.id2)[:n_ids] + args))
+    append = lines.append
+    for op, name, name2, args in events:
+        n_ids, n, optional = _SHAPES[op]
+        if len(args) != n:
+            raise TypeError(f"{op} takes {n} fields, got {len(args)}")
+        if n == 2:      # an optional field that is 0 is left off
+            append(f"{op} {name} {args[0]} {args[1]}" if args[1] or not optional
+                   else f"{op} {name} {args[0]}")
+        elif not n:
+            append(f"{op} {name}" if n_ids else op)
+        else:
+            append(f"{op} {name} {name2} {args[0]}" if n_ids == 2 else f"{op} {name} {args[0]}")
     return "\n".join(lines) + "\n"
 
 
@@ -412,7 +414,8 @@ class WorkloadParams:
 def _below(rng: random.Random):
     """below(n) is rng.randrange(n) for n >= 1, drawn as CPython draws it:
     getrandbits(n.bit_length()) until the value is under n, with
-    getrandbits bound once and none of randrange's wrapper calls."""
+    getrandbits bound once and none of randrange's wrapper calls.
+    gen_workload inlines it for the access offset and interleave slot."""
     getrandbits = rng.getrandbits
 
     def below(n: int) -> int:
@@ -466,10 +469,10 @@ def gen_workload(seed: int, params: WorkloadParams) -> tuple[list[TraceEvent], d
     A trace is a function of (seed, params) alone, on every supported
     CPython: each value in it is what random.Random(seed)'s randrange,
     randint, choice and uniform would draw, in the same order.  The
-    integers are drawn through `_below`, without those methods' calls.
+    integers are drawn as `_below` draws them, without those methods' calls.
     """
     rng = random.Random(seed)
-    below, rand = _below(rng), rng.random
+    below, rand, getrandbits = _below(rng), rng.random, rng.getrandbits
     sample_size = _parse_size_dist(params.size_dist)
     kinds, fault_rate = params.fault_kinds, params.fault_rate
     new = tuple.__new__
@@ -499,8 +502,11 @@ def gen_workload(seed: int, params: WorkloadParams) -> tuple[list[TraceEvent], d
             seq = [new(TraceEvent, ("alloc", name, "", (size, 0)))]
         append = seq.append
 
+        bits = size.bit_length()
         for _ in range(normal_accesses):
-            offset = below(size)
+            offset = getrandbits(bits)      # below(size), inline
+            while offset >= size:
+                offset = getrandbits(bits)
             room = size - offset
             access = 1 + below(room if room < 8 else 8)
             op = "store" if rand() < 0.5 else "load"
@@ -527,7 +533,9 @@ def gen_workload(seed: int, params: WorkloadParams) -> tuple[list[TraceEvent], d
     append = events.append
     manifest: dict[int, str] = {}
     while queues:
-        slot = below(len(queues))
+        slot = getrandbits(k := len(queues).bit_length())     # below(len(queues)), inline
+        while slot >= len(queues):
+            slot = getrandbits(k)
         queue = queues[slot]
         ev = queue.pop()
         if not queue:

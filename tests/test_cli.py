@@ -329,14 +329,16 @@ _CLOSED = "frameguard: standard {} is closed\n"
     (["run", "t.txt"], "stdout", 2, _CLOSED.format("output")),
     (_GEN, "stdout", 2, _CLOSED.format("output")),
     (_GEN + ["--out", "g.txt"], "stdout", 0, ""),     # writing a file needs no stdout
+    (["run", "missing.txt"], "stderr", 2, ""),        # no line to write, still exit 2
 ], ids=["sizes_lo_above_hi", "run_stdin_closed", "run_stdout_closed", "gen_stdout_closed",
-        "gen_out_stdout_closed"])
+        "gen_out_stdout_closed", "run_stderr_closed"])
 def test_unusable_input_found_past_argparse_exits_2_with_its_line(
         argv, closed, status, err, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "t.txt").write_text("alloc a 8\n")
     if closed:
-        # Python sets sys.stdin or sys.stdout to None when its descriptor is closed
+        # Python sets sys.stdin, sys.stdout or sys.stderr to None when its
+        # descriptor is closed
         monkeypatch.setattr(sys, closed, None)
     assert main(argv) == status
     assert capsys.readouterr().err == err
@@ -348,6 +350,24 @@ def test_a_closed_stdin_exits_2_with_one_line():
     proc = subprocess.run(["sh", "-c", '"$0" -m frameguard run - <&-', sys.executable],
                           capture_output=True, text=True)
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", _CLOSED.format("input"))
+
+
+def test_an_argument_error_with_stderr_closed_exits_2(monkeypatch):
+    # Python 3.10's argparse writes its message to sys.stderr unguarded
+    monkeypatch.setattr(sys, "stderr", None)
+    with pytest.raises(SystemExit) as e:
+        main(["run", "t.txt", "--pad", "x"])
+    assert e.value.code == 2
+
+
+@pytest.mark.parametrize("argv, stdin", [
+    (["run", "-"], "alloc a 0\n"),
+    (["run", "-", "--pad", "x"], ""),
+], ids=["past_argparse", "argparse"])
+def test_a_closed_stderr_still_exits_2(argv, stdin):
+    proc = subprocess.run(["sh", "-c", '"$0" -m frameguard "$@" 2>&-', sys.executable, *argv],
+                          input=stdin, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "")
 
 
 # -- any stdin, any option values: exit 0, 1 or 2, never a traceback ------

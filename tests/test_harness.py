@@ -473,6 +473,41 @@ def test_format_round_trip():
     assert parse_trace(format_trace(events)) == events
 
 
+# one literal line per op: a round trip cannot see a spacing change
+_EXACT_LINES = [
+    (TraceEvent("alloc", "a", "", (64, 0)), "alloc a 64"),
+    (TraceEvent("alloc", "t", "", (64, 7)), "alloc t 64 7"),
+    (TraceEvent("alloc_array", "v", "", (10, 8)), "alloc_array v 10 8"),
+    (TraceEvent("realloc", "a", "", (128,)), "realloc a 128"),
+    (TraceEvent("free", "t"), "free t"),
+    (TraceEvent("load", "a", "", (-3, 4)), "load a -3 4"),
+    (TraceEvent("store", "v", "", (79, 1)), "store v 79 1"),
+    (TraceEvent("ptr_add", "a", "", (-16,)), "ptr_add a -16"),
+    (TraceEvent("memcpy", "a", "v", (80,)), "memcpy a v 80"),
+    (TraceEvent("strcpy", "v", "a", (0,)), "strcpy v a 0"),
+    (TraceEvent("strncpy", "a", "v", (12,)), "strncpy a v 12"),
+    (TraceEvent("scope_begin"), "scope_begin"),
+    (TraceEvent("scope_end"), "scope_end"),
+]
+
+
+def test_each_op_formats_to_its_exact_line():
+    assert {ev.op for ev, _ in _EXACT_LINES} == set(_GRAMMAR)   # a new op must be added here
+    for ev, line in _EXACT_LINES:
+        assert format_trace([ev]) == line + "\n"
+    assert format_trace([ev for ev, _ in _EXACT_LINES]) == "".join(
+        line + "\n" for _, line in _EXACT_LINES)
+
+
+@pytest.mark.parametrize("op, args", [
+    ("alloc", (0,)), ("alloc", (8,)), ("alloc", (8, 0, 1)), ("load", (1,)),
+    ("load", (1, 2, 3)), ("free", (5,)), ("scope_begin", (1,)),
+])
+def test_args_that_do_not_fit_their_op_raise_type_error(op, args):
+    with pytest.raises(TypeError):
+        format_trace([TraceEvent(op, "a", "", args)])
+
+
 def test_events_share_op_and_id_strings():
     text = "alloc buf_1 64\nalloc dst_2 8\nstore buf_1 0 4\nmemcpy dst_2 buf_1 8\nfree buf_1\n"
     events = parse_trace(text)
