@@ -20,16 +20,16 @@ release takes it out, so an open scope holds only live records.
 Each allocation has one AllocationRecord, keyed by its header address
 in the only record store; the record holds what the header bytes hold
 (raw size and type id), its frame's log-size n and its table key, and
-derives its header address from the object base.  The store holds the
-live records and the dead small-framed ones, following FRAMER's
-lifetime rule: a released big-framed object leaves only its vacated
-division-table entry, so its record leaves the store, while a released
-small-framed header lingers as stale bytes would in a real heap, and
-its record's liveness reports a small-framed double free.  Arena.stats
-reads running totals that allocation and release keep, not the store.
-Arena.lookup is the one place a pointer's outcome is decided
-(untracked, out of frame, or the record at its header); the checker
-and the deallocation paths both build on it.
+derives its header address from the object base.  Release clears the
+header for both frame classes, so a freed object keeps no record: a
+big-framed release vacates its division-table entry and drops the
+record, and a small-framed one leaves None at its header address, a
+cleared header that slot arithmetic still finds, as a heap poisoned on
+free would.  Arena.stats reads running totals that allocation and
+release keep, not the store.  Arena.lookup is the one place a
+pointer's outcome is decided (untracked, out of frame, or the record
+at its header, None once released); the checker and the deallocation
+paths both build on it.
 metadata.check_header_fields states the header size rule once for
 alloc, alloc_array and realloc.
 
@@ -55,6 +55,7 @@ DEFAULT_ARENA_SIZE = 1 << 28
 DEFAULT_PAD_BYTES = 1                 # FRAMER's fake padding: one-past-end pointers resolve
 
 _new = tuple.__new__    # builds a named tuple without its Python-level __new__
+_NO_HEADER = object()   # what the store answers for an address that holds no header
 
 
 class ArenaExhausted(RuntimeError):
@@ -68,7 +69,8 @@ class AllocationRecord:
     key is the division-table key set_entry returned for a big-framed
     record, and 0 for a small-framed one (0 is also a real key, so n,
     not key, tells the classes apart).  The header address is derived:
-    it always sits HEADER_SIZE bytes below the object base.
+    it always sits HEADER_SIZE bytes below the object base.  live is a
+    flag for callers; the arena judges liveness from its store alone.
     """
 
     id: int
@@ -119,8 +121,8 @@ class Arena:
         self._rng = rng
         self._cursor = base
         # header addresses are never reused, so insertion order is
-        # allocation order; a released big-framed record is deleted
-        self._by_header: dict[int, AllocationRecord] = {}
+        # allocation order; a released small-framed record leaves None
+        self._by_header: dict[int, AllocationRecord | None] = {}
         # running totals for stats(); ids number the allocations from 1
         self._allocations = self._payload = self._live = 0
         self._scopes: list[dict[int, AllocationRecord]] = []    # open scopes, innermost last
@@ -191,7 +193,7 @@ class Arena:
         """Move an allocation to a fresh region of new_size bytes.
 
         The wrapper frame is recomputed from scratch at the new
-        placement and the old big-frame entry (if any) is vacated.  The
+        placement and the old header is cleared, as free clears it.  The
         input is judged as free judges it: a stale pointer yields a
         double-free verdict, one that left its frame an out-of-frame
         verdict, and neither reallocates.  A size the header cannot
@@ -208,12 +210,8 @@ class Arena:
         return _new(Verdict, (OK, new.obj_base, new.id, None)), new
 
     def free(self, tagged: int) -> Verdict:
-        """Release through the hidden base (the header address).
-
-        Big-framed: a vacated entry is the double-free signal.
-        Small-framed liveness is judged from the allocation record, an
-        extension past what the entry mechanism alone can see.
-        """
+        """Release through the hidden base (the header address); a
+        vacated entry or a cleared header is the double-free signal."""
         fail, record = self._resolve_live(tagged)
         if fail is not None:
             return fail
@@ -235,53 +233,48 @@ class Arena:
         """Classify a pointer by the header its tag resolves to.
 
         (UNTRACKED, None) for a plain address; (OUT_OF_FRAME, None) when
-        the pointer left its wrapper frame; otherwise (None, the record
-        at the resolved header), where None is a vacated big-frame entry.
-        Callers judge bounds and liveness from the record.
+        the pointer left its wrapper frame; otherwise (None, the live record
+        at the resolved header, or None once its object was released).
         """
         if not tagged >> TAG_SHIFT:
             return UNTRACKED, None
         try:
-            record = self._by_header.get(self.table.header_lookup(tagged))
+            record = self._by_header.get(self.table.header_lookup(tagged), _NO_HEADER)
         except ArenaRangeError:
             # the frame holds no arena byte
             return OUT_OF_FRAME, None
-        if record is None and tagged >> 63:
-            # anywhere in its own slot a small-framed pointer finds its
-            # header, live or dead; no stored record there means it left
-            # the slot, even onto a released big-framed object's header
-            return OUT_OF_FRAME, None
+        if record is _NO_HEADER:
+            # a vacated entry, or a small-framed pointer out of its slot:
+            # anywhere in it the slot arithmetic finds a header, live or cleared
+            return (OUT_OF_FRAME if tagged >> 63 else None), None
         return None, record
 
     def _resolve_live(self, tagged: int) -> tuple[Verdict | None, AllocationRecord | None]:
         """(failing verdict, None) or (None, live record) for a pointer
         handed to a deallocation path."""
         kind, record = self.lookup(tagged)
-        if kind is None and (record is None or not record.live):
-            kind = DOUBLE_FREE
-        if kind is not None:
-            return _new(Verdict, (kind, tagged & ADDRESS_MASK,
-                                  record.id if record else None, None)), None
+        if record is None:
+            return _new(Verdict, (kind or DOUBLE_FREE, tagged & ADDRESS_MASK, None, None)), None
         return None, record
 
     def _release(self, record: AllocationRecord) -> None:
+        """Clear the header: a big frame's entry and record go; a small header holds None."""
+        header_addr = record.obj_base - HEADER_SIZE
         if record.n > SLOT_BITS:
-            # the vacated entry now answers for every pointer of the
-            # object, so its record leaves the store
             self.table.reset_entry(record.key)
-            del self._by_header[record.obj_base - HEADER_SIZE]
+            del self._by_header[header_addr]
+        else:
+            self._by_header[header_addr] = None
         if record.scope is not None:
-            del record.scope[record.obj_base - HEADER_SIZE]
-            record.scope = None     # a dead small-framed record stays stored
+            del record.scope[header_addr]
+            record.scope = None
         record.live = False
         self._live -= 1
-        # a small-framed header stays in place, as it would in a real heap
 
     @property
     def records(self) -> list[AllocationRecord]:
-        """The stored records in allocation order: every live one and
-        every dead small-framed one; a released big-framed record is gone."""
-        return list(self._by_header.values())
+        """The live records in allocation order."""
+        return [record for record in self._by_header.values() if record is not None]
 
     def stats(self) -> dict[str, int]:
         """Live and cumulative totals, kept as allocations are made and

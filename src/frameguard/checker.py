@@ -3,8 +3,9 @@
 check_access is the one statement of the bounds rule.  It classifies
 the pointer through Arena.lookup, the one place a pointer's outcome is
 decided, reads the raw object size from the record it returns, and
-reports the outcome as a verdict; the copy checks and check_memset judge
-each operand through it and name the operand only on a violation.
+reports the outcome as a verdict: use after free when a released object
+of either frame class resolves to no record.  The copy checks and
+check_memset judge each operand through it, naming it only on a violation.
 Checks never raise for bad accesses; a replay run keeps going and keeps
 only its violations, as (event index, kind), plus per-kind counts;
 nothing is kept per event.  The bounds rule for an access of s bytes at
@@ -71,7 +72,7 @@ class Checker:
             self.lookups_big += 1
         addr = tagged & ADDRESS_MASK
         if record is None:
-            # out of frame, or a vacated entry (released big-framed object)
+            # out of frame, or a released object: a vacated entry or a cleared header
             return Verdict(kind or USE_AFTER_FREE, addr)
         obj_base = record.obj_base
         if addr < obj_base:

@@ -3,8 +3,8 @@
 Exit status: 0 on success, 1 when violations were found and
 --fail-on-violation is set, 2 on unusable input, with one `frameguard:`
 line of at most LINE_MAX characters that escapes any line end and cuts
-any long operand, whatever text echoes it.  With stderr closed, unusable
-input still exits 2, with no line.
+any long operand, whatever text echoes it.  With stderr closed or not
+writable, unusable input still exits 2, with no line.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 from dataclasses import MISSING, fields
 
 from .arena import ArenaExhausted
@@ -51,12 +51,19 @@ def _line(message: str, tail: str = "") -> str:
     return f"frameguard: {message}{tail}\n"
 
 
+def _fail(message: str, tail: str = "") -> int:
+    """Write message's exit-2 line to stderr and return 2.  A closed stderr
+    or a failed write drops the line: Python 3.10's argparse guards neither."""
+    if sys.stderr is not None:
+        with suppress(OSError):
+            sys.stderr.write(_line(message, tail))
+    return 2
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):
-        """One `frameguard: ...` line and exit 2, as for any unusable input;
-        no line when stderr is closed, which Python 3.10's argparse would
-        try to write to."""
-        self.exit(2, None if sys.stderr is None else _line(message, f" (see {self.prog} --help)"))
+        """One `frameguard: ...` line and exit 2, as for any unusable input."""
+        self.exit(_fail(message, f" (see {self.prog} --help)"))
 
 
 def integer(value: str) -> int:
@@ -166,6 +173,4 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (TraceRuntimeError, ArenaExhausted, EntryConflictError, ValueError, OSError) as exc:
-        if sys.stderr is not None:      # None when descriptor 2 was closed at start
-            sys.stderr.write(_line(str(exc)))
-        return 2
+        return _fail(str(exc))

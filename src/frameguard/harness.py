@@ -285,7 +285,9 @@ def run_trace(events: Iterable[TraceEvent], config: EngineConfig | None = None) 
                    "strncpy": checker.check_strncpy}
     # each id's canonical tagged pointer: it addresses the object base
     bindings: dict[str, int] = {}
-    cursors: dict[int, int] = {}    # canonical pointer -> pointer ptr_add moved
+    # bound canonical pointer -> pointer ptr_add moved; a rebound id's old
+    # pointer is never looked up again, but a freed id's stays for copies
+    cursors: dict[int, int] = {}
     counts = dict.fromkeys(VerdictKind, 0)
     oks = 0     # ok verdicts of load, store and free, kept apart from counts
     violations: list[tuple[int, str]] = []
@@ -318,6 +320,7 @@ def run_trace(events: Iterable[TraceEvent], config: EngineConfig | None = None) 
                     oks += 1
                     continue
         elif op == "alloc" or op == "alloc_array":
+            cursors.pop(bindings.get(name), None)
             bindings[name] = (alloc if op == "alloc" else alloc_array)(*args).tagged
         elif op == "free":
             verdict = free(bindings.get(name) or _bound(name))
@@ -327,6 +330,7 @@ def run_trace(events: Iterable[TraceEvent], config: EngineConfig | None = None) 
         elif op == "realloc":
             verdict, record = arena.realloc(_bound(name), args[0])
             if record is not None:
+                cursors.pop(bindings[name], None)
                 bindings[name] = record.tagged
         elif op in copy_checks:
             dst, src = _bound(name), _bound(name2)
@@ -414,8 +418,7 @@ class WorkloadParams:
 def _below(rng: random.Random):
     """below(n) is rng.randrange(n) for n >= 1, drawn as CPython draws it:
     getrandbits(n.bit_length()) until the value is under n, with
-    getrandbits bound once and none of randrange's wrapper calls.
-    gen_workload inlines it for the access offset and interleave slot."""
+    getrandbits bound once and none of randrange's wrapper calls."""
     getrandbits = rng.getrandbits
 
     def below(n: int) -> int:
@@ -472,7 +475,7 @@ def gen_workload(seed: int, params: WorkloadParams) -> tuple[list[TraceEvent], d
     integers are drawn as `_below` draws them, without those methods' calls.
     """
     rng = random.Random(seed)
-    below, rand, getrandbits = _below(rng), rng.random, rng.getrandbits
+    below, rand = _below(rng), rng.random
     sample_size = _parse_size_dist(params.size_dist)
     kinds, fault_rate = params.fault_kinds, params.fault_rate
     new = tuple.__new__
@@ -502,11 +505,8 @@ def gen_workload(seed: int, params: WorkloadParams) -> tuple[list[TraceEvent], d
             seq = [new(TraceEvent, ("alloc", name, "", (size, 0)))]
         append = seq.append
 
-        bits = size.bit_length()
         for _ in range(normal_accesses):
-            offset = getrandbits(bits)      # below(size), inline
-            while offset >= size:
-                offset = getrandbits(bits)
+            offset = below(size)
             room = size - offset
             access = 1 + below(room if room < 8 else 8)
             op = "store" if rand() < 0.5 else "load"
@@ -533,9 +533,7 @@ def gen_workload(seed: int, params: WorkloadParams) -> tuple[list[TraceEvent], d
     append = events.append
     manifest: dict[int, str] = {}
     while queues:
-        slot = getrandbits(k := len(queues).bit_length())     # below(len(queues)), inline
-        while slot >= len(queues):
-            slot = getrandbits(k)
+        slot = below(len(queues))
         queue = queues[slot]
         ev = queue.pop()
         if not queue:

@@ -12,7 +12,8 @@ The table divides the arena into 2**16-byte divisions and keeps one
 the arena base) and holds the header address of the single live object
 wrapped by that frame, or zero when vacant.  Zero doubles as the
 release marker, which is what makes double frees and use-after-free of
-big-framed objects observable.  The full table is virtual, reserved and
+big-framed objects observable; a small-framed object has no entry, and
+its release clears the header the arena stores instead.  The full table is virtual, reserved and
 never allocated: only entries ever set are stored.  Callers name an
 entry by its frame (addr, n) when they set it, and set_entry returns
 the entry's key; release names the entry by that key, so vacating it

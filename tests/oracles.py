@@ -97,21 +97,21 @@ def lookup_oracle(arena, records, tagged: int):
     is_untagged, header_lookup_oracle and a scan of records, every
     record the caller allocated in arena.
 
-    A dead big-framed record is gone: FRAMER keeps nothing of a released
-    big-framed object but its vacated entry, so a small-framed pointer
-    whose slot arithmetic lands on that object's header finds none there.
-    A dead small-framed record stays, header and liveness."""
+    Release clears the header and keeps no record: a released
+    big-framed object leaves only its vacated entry, so a small-framed
+    pointer whose slot arithmetic lands on its header finds none there,
+    and a released small-framed object leaves a cleared header, which
+    that pointer finds as no record."""
     if is_untagged(tagged):
         return VerdictKind.UNTRACKED, None
     try:
         header = header_lookup_oracle(arena.table, tagged)
     except ArenaRangeError:
         return VerdictKind.OUT_OF_FRAME, None
-    record = next((r for r in records if r.header_addr == header
-                   and (r.live or decode(r.tagged)[0])), None)
-    if record is None and decode(tagged)[0]:
+    found = [r for r in records if r.header_addr == header]
+    if decode(tagged)[0] and not any(r.live or decode(r.tagged)[0] for r in found):
         return VerdictKind.OUT_OF_FRAME, None
-    return None, record
+    return None, next((r for r in found if r.live), None)
 
 
 def check_access_oracle(arena, records, tagged: int, size: int,
@@ -125,7 +125,7 @@ def check_access_oracle(arena, records, tagged: int, size: int,
     if kind is VerdictKind.UNTRACKED:
         return kind, tagged, None, None
     if kind is None and record is None:
-        kind = VerdictKind.USE_AFTER_FREE       # a vacated big-frame entry
+        kind = VerdictKind.USE_AFTER_FREE       # a released object, of either class
     if kind is not None:
         return kind, p, None, operand
     b, z = record.obj_base, record.raw_size
@@ -160,9 +160,9 @@ def copy_oracle(arena, records, op: str, dst: int, src: int, n: int) -> tuple:
 
 def free_oracle(arena, records, tagged: int) -> tuple:
     """Reference Arena.free verdict from lookup_oracle: a live record is
-    ok, a dead one or a vacated entry a double free."""
+    ok, a released object of either class a double free with no id."""
     kind, record = lookup_oracle(arena, records, tagged)
-    if kind is None and (record is None or not record.live):
+    if kind is None and record is None:
         kind = VerdictKind.DOUBLE_FREE
     return kind or VerdictKind.OK, decode(tagged)[2], record.id if record else None, None
 

@@ -150,7 +150,7 @@ def test_temporal_violations_detected():
         and dict(report.violations) == manifest
     )
 
-    # small-framed double frees, the record-liveness extension
+    # small-framed double frees, caught at the cleared header
     arena = Arena(base=BASE, size=1 << 24)
     records = [arena.alloc(24) for _ in range(300)]
     small_count = sum(1 for r in records if r.is_small)

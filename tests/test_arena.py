@@ -8,13 +8,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from frameguard.arena import AllocationRecord, Arena, ArenaExhausted, DEFAULT_ARENA_BASE
-from frameguard.frame_math import ADDRESS_MASK, SLOT_SIZE, wrapper_frame
+from frameguard.checker import AccessRequest, Checker
+from frameguard.frame_math import ADDRESS_MASK, SLOT_BITS, SLOT_SIZE, wrapper_frame
 from frameguard.metadata import ArenaRangeError, DivisionTable, EntryConflictError, HEADER_SIZE
 from frameguard.tagging import (
     FLAG_BIT, MAX_BIG_TAG, MIN_BIG_TAG, TAG_MASK, TAG_SHIFT, TagError, decode, rebase,
 )
 from frameguard.verdicts import VerdictKind
-from oracles import header_lookup_oracle, lookup_oracle, slot_base, wrapper_frame_oracle
+from oracles import header_lookup_oracle, in_frame, lookup_oracle, slot_base, wrapper_frame_oracle
 
 BASE = DEFAULT_ARENA_BASE
 
@@ -160,8 +161,8 @@ def test_free_verdicts():
     assert a.table.get_entry(big.obj_base, big.frame.n) == 0
     assert a.free(big.tagged).kind is VerdictKind.DOUBLE_FREE
 
-    # small-framed double free is caught from record liveness, an
-    # extension beyond what the table alone can observe
+    # small-framed double free is caught at the cleared header, which
+    # the table, holding no small-framed entry, cannot observe
     small = a.alloc(24)
     assert a.free(small.tagged).kind is VerdictKind.OK
     assert a.free(small.tagged).kind is VerdictKind.DOUBLE_FREE
@@ -237,8 +238,7 @@ def test_wide_padding_can_conflict():
 def test_accounting():
     a = small_arena()
     a.scope_begin()
-    for size in (40, 1 << 17, 24):
-        a.alloc(size)
+    made = [a.alloc(size) for size in (40, 1 << 17, 24)]
 
     def live_payload():
         return sum(r.raw_size for r in a.records if r.live)
@@ -249,7 +249,7 @@ def test_accounting():
     assert live_payload() == 40 + (1 << 17) + 24
     assert st["table_reserved_bytes"] == a.table.reserved_bytes
 
-    a.free(a.records[0].tagged)
+    a.free(made[0].tagged)
     st = a.stats()
     assert st["live_allocations"] == 2
     assert st["live_header_bytes"] == 32
@@ -257,13 +257,13 @@ def test_accounting():
     assert st["total_allocations"] == 3
 
     # every release path feeds the totals derived from the records
-    _, moved = a.realloc(a.records[2].tagged, 100)
+    _, moved = a.realloc(made[2].tagged, 100)
     st = a.stats()
     assert (st["live_allocations"], st["live_header_bytes"]) == (2, 32)
     assert live_payload() == (1 << 17) + 100
     # the moved record stays in its old record's scope, the only one
     # open, which holds exactly the live records
-    assert moved.scope is a.records[1].scope
+    assert moved.scope is made[1].scope
     assert moved.scope == {r.header_addr: r for r in a.records if r.live}
     a.scope_end()
     st = a.stats()
@@ -307,9 +307,16 @@ def test_a_dead_big_framed_allocation_keeps_only_its_table_entry():
     # about 61 B, the division-table entry the paper leaves vacated; a
     # stored record with its frame kept 423 B
     assert _bytes_kept_per_dead_allocation(1 << 17) <= 120
-    # a dead small-framed record stays for double_free: about 269 B,
-    # and no more than the 365 B a record with a frame tuple kept
+    # a dead small-framed object keeps its cleared header: a stored
+    # record kept about 269 B, and 365 B with a frame tuple
     assert _bytes_kept_per_dead_allocation(64) <= 365
+
+
+def test_a_dead_allocation_of_either_class_keeps_at_most_120_bytes():
+    # release keeps no record of either class: about 62 B each, a
+    # vacated entry or a cleared header by address
+    for size in (64, 1 << 17):
+        assert _bytes_kept_per_dead_allocation(size) <= 120, size
 
 
 def test_an_open_scope_keeps_no_more_per_dead_allocation_than_no_scope():
@@ -324,25 +331,26 @@ def test_an_open_scope_keeps_no_more_per_dead_allocation_than_no_scope():
 
 
 def test_a_short_scope_keeps_no_more_per_allocation_than_a_free():
-    # a dead small-framed record stays stored; were it to keep its ended
-    # scope's dict, each 64-byte allocation would keep about 490 B, not 270
+    # were a released record to keep its ended scope's dict, each
+    # 64-byte allocation would keep a few hundred bytes, not about 62
     unscoped = _bytes_kept_per_dead_allocation(64, 10_000)
     assert _bytes_kept_per_dead_allocation(64, 10_000, _in_a_short_scope) <= unscoped
 
 
-def test_the_store_keeps_live_and_dead_small_framed_records():
+def test_the_store_keeps_only_live_records():
     a = small_arena()
     small, big, freed_small, freed_big = a.alloc(40), a.alloc(1 << 17), a.alloc(8), a.alloc(1 << 17)
     a.free(freed_small.tagged)
     a.free(freed_big.tagged)
-    assert a.records == [small, big, freed_small]
-    assert not freed_big.live
+    assert a.records == [small, big]
+    assert not freed_small.live and not freed_big.live
     # the frame, rebuilt from n, is the region's: header to one past the end
     assert freed_big.frame == wrapper_frame(freed_big.header_addr,
                                             freed_big.obj_base + freed_big.raw_size)
-    assert a.free(freed_big.tagged).kind is VerdictKind.DOUBLE_FREE
-    assert a.free(freed_small.tagged) == (VerdictKind.DOUBLE_FREE, freed_small.obj_base,
-                                          freed_small.id, None)
+    # a released object of either class resolves to no record, so no id
+    for freed in (freed_big, freed_small):
+        assert a.lookup(freed.tagged) == (None, None)
+        assert a.free(freed.tagged) == (VerdictKind.DOUBLE_FREE, freed.obj_base, None, None)
     assert a.alloc(1).id == 5
 
 
@@ -397,7 +405,7 @@ def test_stats_match_a_recount_of_every_record(ops):
             total_allocations=len(records), total_payload_bytes=sum(r.raw_size for r in records),
             cursor_used_bytes=end - a.base)
         assert [r.id for r in records] == list(range(1, len(records) + 1))
-        assert a.records == [r for r in records if r.live or r.is_small]
+        assert a.records == [r for r in records if r.live]
 
 
 @settings(deadline=None, max_examples=150)
@@ -475,6 +483,55 @@ def test_liveness_matches_a_model_of_nested_scopes(ops):
             for i in scopes.pop():
                 live[i] = False
         assert [r.live for r in records] == [live[r.id] for r in records]
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(_ops, max_size=30), st.lists(st.integers(-(1 << 20), 1 << 20), max_size=4))
+# a small and a big object, one freed and one moved, and a released scope
+@example([("alloc", 40), ("alloc", 1 << 17), ("free", 0), ("realloc", 1, 64),
+          ("scope_begin",), ("alloc", 8), ("scope_end",)], [])
+def test_a_released_pointer_of_either_class_stays_stale_in_its_frame(ops, offsets):
+    # every pointer of a released object that stays in its frame (the
+    # slot, for a small-framed object) is use_after_free for an access
+    # and for either copy operand, and double_free with no alloc_id for
+    # a second free or realloc
+    a = Arena(base=BASE, size=1 << 28)
+    ck = Checker(a)
+    records, depth = [], 0
+    for op, *args in ops:
+        pick = records[args[0] % len(records)] if records and op in ("free", "realloc") else None
+        if op in ("alloc", "alloc_array"):
+            records.append(a.alloc(args[0]) if op == "alloc" else a.alloc_array(*args))
+        elif op == "free" and pick:
+            a.free(pick.tagged)
+        elif op == "realloc" and pick:
+            _, moved = a.realloc(pick.tagged, args[1])
+            if moved is not None:
+                records.append(moved)
+        elif op == "scope_begin":
+            a.scope_begin()
+            depth += 1
+        elif op == "scope_end" and depth:
+            a.scope_end()
+            depth -= 1
+    plain = 0x1000      # an untracked operand passes, so the other is judged
+    for r in records:
+        if r.live:
+            continue
+        for addr in (r.obj_base, r.header_addr, r.obj_base + r.raw_size,
+                     *(r.obj_base + off for off in offsets)):
+            if not in_frame(addr, r.obj_base, max(r.n, SLOT_BITS)):
+                continue    # it left its frame, so it is judged elsewhere
+            p = rebase(r.tagged, addr)
+            stale = (VerdictKind.USE_AFTER_FREE, addr, None)
+            assert ck.check_access(AccessRequest(p, 4)) == stale + (None,)
+            for copy in (ck.check_memcpy, ck.check_strncpy):
+                assert copy(p, plain, 4) == stale + ("dst",)
+                assert copy(plain, p, 4) == stale + ("src",)
+            assert ck.check_strcpy(p, plain, 3) == stale + ("dst",)
+            again = (VerdictKind.DOUBLE_FREE, addr, None, None)
+            assert a.free(p) == again
+            assert a.realloc(p, 8) == (again, None)
 
 
 def test_a_record_keeps_nine_slots():

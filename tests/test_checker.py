@@ -69,13 +69,15 @@ def test_big_framed_use_after_free():
     assert access(ck, r, 0, 1).kind is VerdictKind.USE_AFTER_FREE
 
 
-def test_small_framed_use_after_free_goes_unseen():
-    # the header bytes survive the free, so the stale size still passes
-    # the bounds test; only big-framed objects get temporal coverage here
+def test_small_framed_use_after_free():
+    # release clears the header: slot arithmetic still finds it, but it
+    # resolves to no record, as a vacated entry does for a big frame
     arena, ck = setup()
     r = arena.alloc(40)
     arena.free(r.tagged)
-    assert access(ck, r, 0, 1).kind is VerdictKind.OK
+    assert access(ck, r, 0, 1) == (VerdictKind.USE_AFTER_FREE, r.obj_base, None, None)
+    report = run_trace(parse_trace("alloc a 10\nfree a\nload a 0 1\n"))
+    assert report.violations == [(2, "use_after_free")]
 
 
 def test_a_far_small_pointer_finds_no_freed_big_header():
@@ -102,6 +104,15 @@ def test_a_far_small_pointer_finds_no_freed_big_header():
     trace = (f"alloc s 40\nalloc f {SLOT_SIZE - 80}\nalloc b {1 << 17}\n"
              f"load s {SLOT_SIZE} 4\nfree b\nload s {SLOT_SIZE} 4\n")
     assert run_trace(parse_trace(trace)).violations == [(5, "out_of_frame")]
+
+
+def test_a_far_small_pointer_on_a_freed_small_header_is_use_after_free():
+    # as above, but t is small-framed: its cleared header is where the
+    # slot arithmetic lands, so the far access reads as use after free
+    trace = (f"alloc s 40\nalloc f {SLOT_SIZE - 80}\nalloc t 40\n"
+             f"load s {SLOT_SIZE} 4\nfree t\nload s {SLOT_SIZE} 4\n")
+    report = run_trace(parse_trace(trace))
+    assert report.verdicts["ok"] == 2 and report.violations == [(5, "use_after_free")]
 
 
 def test_header_bytes_always_underflow():
@@ -381,8 +392,9 @@ def _resolver_case(case):
 
 @pytest.mark.parametrize("case, access, free, realloc, lookup", [
     ("small_live", VerdictKind.OK, VerdictKind.OK, VerdictKind.OK, "header"),
-    # small-framed use-after-free is a documented blind spot
-    ("small_freed", VerdictKind.OK, VerdictKind.DOUBLE_FREE, VerdictKind.DOUBLE_FREE, "header"),
+    # the slot arithmetic still lands on the cleared header
+    ("small_freed", VerdictKind.USE_AFTER_FREE, VerdictKind.DOUBLE_FREE,
+     VerdictKind.DOUBLE_FREE, "header"),
     ("big_live", VerdictKind.OK, VerdictKind.OK, VerdictKind.OK, "header"),
     ("big_freed", VerdictKind.USE_AFTER_FREE, VerdictKind.DOUBLE_FREE,
      VerdictKind.DOUBLE_FREE, 0),

@@ -360,14 +360,26 @@ def test_an_argument_error_with_stderr_closed_exits_2(monkeypatch):
     assert e.value.code == 2
 
 
-@pytest.mark.parametrize("argv, stdin", [
+_STDERR_CASES = pytest.mark.parametrize("argv, stdin", [
     (["run", "-"], "alloc a 0\n"),
     (["run", "-", "--pad", "x"], ""),
 ], ids=["past_argparse", "argparse"])
+
+
+@_STDERR_CASES
 def test_a_closed_stderr_still_exits_2(argv, stdin):
     proc = subprocess.run(["sh", "-c", '"$0" -m frameguard "$@" 2>&-', sys.executable, *argv],
                           input=stdin, capture_output=True, text=True)
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "")
+
+
+@_STDERR_CASES
+def test_a_read_only_stderr_still_exits_2(argv, stdin):
+    # sys.stderr is then a stream whose write raises OSError
+    with open(os.devnull) as read_only:
+        proc = subprocess.run([sys.executable, "-m", "frameguard", *argv], input=stdin,
+                              stdout=subprocess.PIPE, stderr=read_only, text=True)
+    assert (proc.returncode, proc.stdout) == (2, "")
 
 
 # -- any stdin, any option values: exit 0, 1 or 2, never a traceback ------

@@ -821,6 +821,33 @@ def test_report_memory_does_not_grow_with_trace_length():
     assert abs(sizes[20000] - sizes[1000]) < 64 * 1024
 
 
+@pytest.mark.parametrize("size", [64, 1 << 17], ids=["small", "big"])
+def test_a_churn_with_ptr_add_keeps_at_most_120_bytes_per_round(size):
+    # alloc, ptr_add and free of one id: rebinding drops the old
+    # pointer's cursor, and release keeps no record of either class, so
+    # a round keeps about 62 B (its cleared header or vacated entry)
+    rounds, kept = 20_000, []
+    churn = [TraceEvent("alloc", "a", "", (size, 0)), TraceEvent("ptr_add", "a", "", (8,)),
+             TraceEvent("free", "a", "", ())]
+
+    def events():
+        yield from churn    # one-time growth stays out of the count
+        gc.collect()
+        kept.append(tracemalloc.get_traced_memory()[0])
+        for _ in range(rounds):
+            yield from churn
+        gc.collect()
+        kept.append(tracemalloc.get_traced_memory()[0])
+
+    tracemalloc.start()
+    try:
+        report = run_trace(events(), EngineConfig(arena_size=1 << 40))
+    finally:
+        tracemalloc.stop()
+    assert report.verdicts["ok"] == rounds + 1 and report.violations == []
+    assert (kept[1] - kept[0]) / rounds <= 120
+
+
 def test_report_determinism():
     params = WorkloadParams(objects=150, accesses_per_object=4, fault_rate=0.1,
                             fault_kinds=("overflow", "double_free"),
