@@ -27,9 +27,9 @@ record, and a small-framed one leaves None at its header address, a
 cleared header that slot arithmetic still finds, as a heap poisoned on
 free would.  Arena.stats reads running totals that allocation and
 release keep, not the store.  Arena.lookup is the one place a
-pointer's outcome is decided (untracked, out of frame, or the record
-at its header, None once released); the checker and the deallocation
-paths both build on it.
+pointer's outcome is decided, and its docstring states that outcome;
+the checker and the deallocation paths read it as it is, and _refusal
+writes the verdict that refuses a deallocation.
 metadata.check_header_fields states the header size rule once for
 alloc, alloc_array and realloc.
 
@@ -96,6 +96,12 @@ class AllocationRecord:
     @property
     def is_small(self) -> bool:
         return self.n <= SLOT_BITS
+
+
+def _refusal(found: VerdictKind | None, tagged: int) -> Verdict:
+    """The verdict refusing a deallocation that lookup found no live
+    record for: double free once the object was released, else its kind."""
+    return _new(Verdict, (found or DOUBLE_FREE, tagged & ADDRESS_MASK, None, None))
 
 
 class Arena:
@@ -200,9 +206,9 @@ class Arena:
         hold raises before the pointer is judged.
         """
         check_header_fields(new_size)
-        fail, old = self._resolve_live(tagged)
-        if fail is not None:
-            return fail, None
+        old = self.lookup(tagged)
+        if not isinstance(old, AllocationRecord):
+            return _refusal(old, tagged), None
         new = self._register(new_size, HEADER_SIZE + new_size, old.type_id, old.scope)
         # payload would be copied up to min(old, new) here; contents are
         # not modelled, only geometry and metadata
@@ -212,9 +218,9 @@ class Arena:
     def free(self, tagged: int) -> Verdict:
         """Release through the hidden base (the header address); a
         vacated entry or a cleared header is the double-free signal."""
-        fail, record = self._resolve_live(tagged)
-        if fail is not None:
-            return fail
+        record = self.lookup(tagged)
+        if not isinstance(record, AllocationRecord):
+            return _refusal(record, tagged)
         self._release(record)
         return _new(Verdict, (OK, tagged & ADDRESS_MASK, record.id, None))
 
@@ -229,33 +235,26 @@ class Arena:
 
     # -- resolution ---------------------------------------------------
 
-    def lookup(self, tagged: int) -> tuple[VerdictKind | None, AllocationRecord | None]:
-        """Classify a pointer by the header its tag resolves to.
+    def lookup(self, tagged: int) -> AllocationRecord | VerdictKind | None:
+        """What a pointer resolves to, by the header its tag names.
 
-        (UNTRACKED, None) for a plain address; (OUT_OF_FRAME, None) when
-        the pointer left its wrapper frame; otherwise (None, the live record
-        at the resolved header, or None once its object was released).
+        UNTRACKED for a plain address; OUT_OF_FRAME when the pointer left
+        its wrapper frame; otherwise the live record at the resolved
+        header, or None once its object was released, for either frame
+        class.  Every check and deallocation reads this one answer.
         """
         if not tagged >> TAG_SHIFT:
-            return UNTRACKED, None
+            return UNTRACKED
         try:
             record = self._by_header.get(self.table.header_lookup(tagged), _NO_HEADER)
         except ArenaRangeError:
             # the frame holds no arena byte
-            return OUT_OF_FRAME, None
+            return OUT_OF_FRAME
         if record is _NO_HEADER:
             # a vacated entry, or a small-framed pointer out of its slot:
             # anywhere in it the slot arithmetic finds a header, live or cleared
-            return (OUT_OF_FRAME if tagged >> 63 else None), None
-        return None, record
-
-    def _resolve_live(self, tagged: int) -> tuple[Verdict | None, AllocationRecord | None]:
-        """(failing verdict, None) or (None, live record) for a pointer
-        handed to a deallocation path."""
-        kind, record = self.lookup(tagged)
-        if record is None:
-            return _new(Verdict, (kind or DOUBLE_FREE, tagged & ADDRESS_MASK, None, None)), None
-        return None, record
+            return OUT_OF_FRAME if tagged >> 63 else None
+        return record
 
     def _release(self, record: AllocationRecord) -> None:
         """Clear the header: a big frame's entry and record go; a small header holds None."""

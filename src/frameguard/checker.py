@@ -1,10 +1,9 @@
 """Runtime verification of tagged-pointer accesses.
 
-check_access is the one statement of the bounds rule.  It classifies
-the pointer through Arena.lookup, the one place a pointer's outcome is
-decided, reads the raw object size from the record it returns, and
-reports the outcome as a verdict: use after free when a released object
-of either frame class resolves to no record.  The copy checks and
+check_access is the one statement of the bounds rule.  It takes the
+pointer's outcome from Arena.lookup, judges the access against the
+record that returns, and reports any other outcome as its verdict, a
+released object as use after free.  The copy checks and
 check_memset judge each operand through it, naming it only on a violation.
 Checks never raise for bad accesses; a replay run keeps going and keeps
 only its violations, as (event index, kind), plus per-kind counts;
@@ -63,17 +62,16 @@ class Checker:
         unchecked.  The verdict's address is the untagged one."""
         self.access_checks += 1
         tagged = req.tagged
-        kind, record = self.arena.lookup(tagged)
-        if kind is UNTRACKED:
-            return Verdict(kind, tagged)
+        record = self.arena.lookup(tagged)
+        if record is UNTRACKED:
+            return Verdict(UNTRACKED, tagged)
         if tagged >> 63:
             self.lookups_small += 1
         else:
             self.lookups_big += 1
         addr = tagged & ADDRESS_MASK
-        if record is None:
-            # out of frame, or a released object: a vacated entry or a cleared header
-            return Verdict(kind or USE_AFTER_FREE, addr)
+        if record is None or record is OUT_OF_FRAME:
+            return Verdict(record or USE_AFTER_FREE, addr)
         obj_base = record.obj_base
         if addr < obj_base:
             return Verdict(UNDERFLOW, addr, record.id)

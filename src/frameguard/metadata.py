@@ -21,8 +21,8 @@ does no frame math.  Only entry_index knows the table layout.
 
 DivisionTable.header_lookup is the only code that turns a tagged
 pointer into a header address, and Arena.lookup is its only caller: it
-decides what the resolved header means for the pointer (untracked, out
-of frame, or the record there).  Checker.check_access, which the copy
+decides what the resolved header means for the pointer.
+Checker.check_access, which the copy
 checks also go through, and the arena's free and realloc all call
 Arena.lookup, so the slot arithmetic, the entry read and their
 interpretation are written once.

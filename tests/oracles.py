@@ -9,7 +9,7 @@ from decimal import Decimal
 from frameguard.frame_math import ADDRESS_MASK, RegionError
 from frameguard.harness import _GRAMMAR
 from frameguard.metadata import _U32_MAX, ArenaRangeError
-from frameguard.tagging import MAX_BIG_TAG, MIN_BIG_TAG, TAG_SHIFT, TagError, decode
+from frameguard.tagging import MAX_BIG_TAG, MIN_BIG_TAG, TAG_SHIFT, TagError
 from frameguard.verdicts import VerdictKind
 
 MAX_FRAME_LOG = 63
@@ -27,9 +27,21 @@ def is_untagged(p: int) -> bool:
     return p >> TAG_SHIFT == 0
 
 
+def split_pointer(p: int) -> tuple[int, int, int]:
+    """Reference (flag, tag, address) of a 64-bit pointer value: its top
+    bit, the 15 bits below it, then its low 48 bits."""
+    return p // 2 ** 63, p // 2 ** 48 % 2 ** 15, p % 2 ** 48
+
+
 def slot_base(addr: int) -> int:
     """Base of the 2**15-byte slot holding untagged addr."""
     return addr - addr % 2 ** 15
+
+
+def frame_base(header_addr: int, n: int) -> int:
+    """Base of the n-frame wrapping a header: the header address rounded
+    down to a multiple of 2**n."""
+    return header_addr & -(1 << n)
 
 
 def tag_small(header: int, target: int) -> int:
@@ -78,13 +90,13 @@ def entry_key_oracle(table, addr: int, n: int) -> int:
 
 
 def header_lookup_oracle(table, tagged: int) -> int:
-    """Reference DivisionTable.header_lookup built from decode, slot_base,
+    """Reference DivisionTable.header_lookup built from split_pointer, slot_base,
     entry_key_oracle and a read of the table's entry dict.
 
     Exists to cross-check the shifts and masks header_lookup splits a
     tag with; it raises what header_lookup raises.
     """
-    flag, tag, addr = decode(tagged)
+    flag, tag, addr = split_pointer(tagged)
     if flag:
         return slot_base(addr) + tag
     if not MIN_BIG_TAG <= tag <= MAX_BIG_TAG:
@@ -93,9 +105,10 @@ def header_lookup_oracle(table, tagged: int) -> int:
 
 
 def lookup_oracle(arena, records, tagged: int):
-    """Reference Arena.lookup: (kind or None, record or None) from
-    is_untagged, header_lookup_oracle and a scan of records, every
-    record the caller allocated in arena.
+    """Reference Arena.lookup: UNTRACKED, OUT_OF_FRAME, the live record
+    at the resolved header or None, from is_untagged,
+    header_lookup_oracle and a scan of records, every record the caller
+    allocated in arena.
 
     Release clears the header and keeps no record: a released
     big-framed object leaves only its vacated entry, so a small-framed
@@ -103,15 +116,15 @@ def lookup_oracle(arena, records, tagged: int):
     and a released small-framed object leaves a cleared header, which
     that pointer finds as no record."""
     if is_untagged(tagged):
-        return VerdictKind.UNTRACKED, None
+        return VerdictKind.UNTRACKED
     try:
         header = header_lookup_oracle(arena.table, tagged)
     except ArenaRangeError:
-        return VerdictKind.OUT_OF_FRAME, None
+        return VerdictKind.OUT_OF_FRAME
     found = [r for r in records if r.header_addr == header]
-    if decode(tagged)[0] and not any(r.live or decode(r.tagged)[0] for r in found):
-        return VerdictKind.OUT_OF_FRAME, None
-    return None, next((r for r in found if r.live), None)
+    if split_pointer(tagged)[0] and not any(r.live or split_pointer(r.tagged)[0] for r in found):
+        return VerdictKind.OUT_OF_FRAME
+    return next((r for r in found if r.live), None)
 
 
 def check_access_oracle(arena, records, tagged: int, size: int,
@@ -120,14 +133,14 @@ def check_access_oracle(arena, records, tagged: int, size: int,
     alloc_id, operand) tuple, from lookup_oracle and the bounds rule in
     checker.py's docstring.  operand labels a violation only, as the copy
     checks label the operand they judge."""
-    kind, record = lookup_oracle(arena, records, tagged)
-    p = decode(tagged)[2]
-    if kind is VerdictKind.UNTRACKED:
-        return kind, tagged, None, None
-    if kind is None and record is None:
-        kind = VerdictKind.USE_AFTER_FREE       # a released object, of either class
-    if kind is not None:
-        return kind, p, None, operand
+    record = lookup_oracle(arena, records, tagged)
+    p = split_pointer(tagged)[2]
+    if record is VerdictKind.UNTRACKED:
+        return record, tagged, None, None
+    if record is None:
+        return VerdictKind.USE_AFTER_FREE, p, None, operand    # a released object, of either class
+    if record is VerdictKind.OUT_OF_FRAME:
+        return record, p, None, operand
     b, z = record.obj_base, record.raw_size
     if p < b:
         return VerdictKind.UNDERFLOW, p, record.id, operand
@@ -161,10 +174,13 @@ def copy_oracle(arena, records, op: str, dst: int, src: int, n: int) -> tuple:
 def free_oracle(arena, records, tagged: int) -> tuple:
     """Reference Arena.free verdict from lookup_oracle: a live record is
     ok, a released object of either class a double free with no id."""
-    kind, record = lookup_oracle(arena, records, tagged)
-    if kind is None and record is None:
-        kind = VerdictKind.DOUBLE_FREE
-    return kind or VerdictKind.OK, decode(tagged)[2], record.id if record else None, None
+    record = lookup_oracle(arena, records, tagged)
+    p = split_pointer(tagged)[2]
+    if record is None:
+        return VerdictKind.DOUBLE_FREE, p, None, None
+    if isinstance(record, VerdictKind):
+        return record, p, None, None
+    return VerdictKind.OK, p, record.id, None
 
 
 def _shown(tok: str, quoted: bool = True) -> str:

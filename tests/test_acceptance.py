@@ -9,7 +9,7 @@ from frameguard.arena import Arena, DEFAULT_ARENA_BASE
 from frameguard.harness import EngineConfig, WorkloadParams, gen_workload, run_trace
 from frameguard.metadata import EntryConflictError
 from frameguard.tagging import rebase
-from frameguard.frame_math import wrapper_frame
+from frameguard.frame_math import SLOT_BITS, wrapper_frame
 from frameguard.verdicts import VerdictKind
 from oracles import wrapper_frame_oracle
 
@@ -153,7 +153,7 @@ def test_temporal_violations_detected():
     # small-framed double frees, caught at the cleared header
     arena = Arena(base=BASE, size=1 << 24)
     records = [arena.alloc(24) for _ in range(300)]
-    small_count = sum(1 for r in records if r.is_small)
+    small_count = sum(1 for r in records if r.n <= SLOT_BITS)
     caught = 0
     for r in records:
         assert arena.free(r.tagged).kind is VerdictKind.OK
@@ -208,7 +208,7 @@ def test_tag_survives_every_in_object_address():
     failures = 0
     while small < 10_000:
         r = arena.alloc(rng.randrange(1, 64))
-        if not r.is_small:
+        if r.n > SLOT_BITS:
             continue  # rare slot straddler; tag stability is a small-frame claim
         small += 1
         for addr in range(r.obj_base, r.obj_base + r.raw_size):

@@ -12,10 +12,13 @@ from frameguard.checker import AccessRequest, Checker
 from frameguard.frame_math import ADDRESS_MASK, SLOT_BITS, SLOT_SIZE, wrapper_frame
 from frameguard.metadata import ArenaRangeError, DivisionTable, EntryConflictError, HEADER_SIZE
 from frameguard.tagging import (
-    FLAG_BIT, MAX_BIG_TAG, MIN_BIG_TAG, TAG_MASK, TAG_SHIFT, TagError, decode, rebase,
+    FLAG_BIT, MAX_BIG_TAG, MIN_BIG_TAG, TAG_MASK, TAG_SHIFT, TagError, rebase,
 )
 from frameguard.verdicts import VerdictKind
-from oracles import header_lookup_oracle, in_frame, lookup_oracle, slot_base, wrapper_frame_oracle
+from oracles import (
+    frame_base, header_lookup_oracle, in_frame, lookup_oracle, slot_base, split_pointer,
+    wrapper_frame_oracle,
+)
 
 BASE = DEFAULT_ARENA_BASE
 
@@ -31,12 +34,12 @@ def test_alloc_geometry():
     assert r.obj_base == r.header_addr + HEADER_SIZE
     assert r.raw_size == 40
     assert (r.raw_size, r.type_id) == (40, 3)
-    assert a.lookup(r.tagged) == (None, r)
+    assert a.lookup(r.tagged) is r
     # frame wraps header through padded upper bound
     lo, hi = r.header_addr, r.obj_base + 40 - 1 + 1
-    assert r.frame.n == wrapper_frame_oracle(lo, hi)
-    assert r.is_small
-    flag, tag, addr = decode(r.tagged)
+    assert r.n == wrapper_frame_oracle(lo, hi)
+    assert r.n <= SLOT_BITS
+    flag, tag, addr = split_pointer(r.tagged)
     assert flag == 1 and addr == r.obj_base
     assert (r.header_addr - (r.header_addr & ~(SLOT_SIZE - 1))) == tag
 
@@ -44,11 +47,11 @@ def test_alloc_geometry():
 def test_alloc_big_sets_entry():
     a = small_arena()
     r = a.alloc(1 << 17)
-    assert not r.is_small
-    assert r.frame.n >= 17
-    assert a.table.get_entry(r.obj_base, r.frame.n) == r.header_addr
-    flag, tag, _ = decode(r.tagged)
-    assert flag == 0 and tag == r.frame.n
+    assert r.n > SLOT_BITS
+    assert r.n >= 17
+    assert a.table.get_entry(r.obj_base, r.n) == r.header_addr
+    flag, tag, _ = split_pointer(r.tagged)
+    assert flag == 0 and tag == r.n
 
 
 def test_headers_are_16_aligned_and_regions_disjoint():
@@ -69,8 +72,8 @@ def test_classification_matches_oracle_randomized():
         size = rng.choice((1, 2, 15, 16, 40, 100, 1000, 30_000, 40_000, 1 << 16, 1 << 17))
         r = a.alloc(size)
         n = wrapper_frame_oracle(r.header_addr, r.obj_base + size - 1 + 1)
-        assert r.frame.n == n
-        assert r.is_small == (n <= 15)
+        assert r.n == n
+        assert split_pointer(r.tagged)[0] == (n <= 15)
 
 
 def test_size_one_16_aligned_placements_inside_slot_are_small():
@@ -113,8 +116,8 @@ def test_realloc_small_to_big():
     v, r2 = a.realloc(r.tagged, 1 << 17)
     assert v.kind is VerdictKind.OK
     assert not r.live and r2.live
-    assert r.is_small and not r2.is_small
-    assert a.table.get_entry(r2.obj_base, r2.frame.n) == r2.header_addr
+    assert r.n <= SLOT_BITS < r2.n
+    assert a.table.get_entry(r2.obj_base, r2.n) == r2.header_addr
 
 
 def test_realloc_big_resets_old_entry():
@@ -122,8 +125,8 @@ def test_realloc_big_resets_old_entry():
     r = a.alloc(1 << 17)
     v, r2 = a.realloc(r.tagged, 1 << 17)
     assert v.kind is VerdictKind.OK
-    assert a.table.get_entry(r.obj_base, r.frame.n) == 0
-    assert a.table.get_entry(r2.obj_base, r2.frame.n) == r2.header_addr
+    assert a.table.get_entry(r.obj_base, r.n) == 0
+    assert a.table.get_entry(r2.obj_base, r2.n) == r2.header_addr
 
 
 def test_realloc_of_freed_handle_is_violation():
@@ -151,14 +154,14 @@ def test_realloc_refuses_a_bad_size_before_judging_the_pointer():
     with pytest.raises(ValueError):
         a.realloc(live.tagged, 1 << 32)
     assert live.live and a.stats() == before
-    assert a.table.get_entry(live.obj_base, live.frame.n) == live.header_addr
+    assert a.table.get_entry(live.obj_base, live.n) == live.header_addr
 
 
 def test_free_verdicts():
     a = small_arena()
     big = a.alloc(1 << 17)
     assert a.free(big.tagged).kind is VerdictKind.OK
-    assert a.table.get_entry(big.obj_base, big.frame.n) == 0
+    assert a.table.get_entry(big.obj_base, big.n) == 0
     assert a.free(big.tagged).kind is VerdictKind.DOUBLE_FREE
 
     # small-framed double free is caught at the cleared header, which
@@ -176,7 +179,7 @@ def test_scope_end_resets_big_entries():
     big = a.alloc(1 << 17)
     small = a.alloc(40)
     a.scope_end()
-    assert a.table.get_entry(big.obj_base, big.frame.n) == 0
+    assert a.table.get_entry(big.obj_base, big.n) == 0
     assert not big.live and not small.live
     # already-freed records are left alone
     a.scope_begin()
@@ -344,12 +347,13 @@ def test_the_store_keeps_only_live_records():
     a.free(freed_big.tagged)
     assert a.records == [small, big]
     assert not freed_small.live and not freed_big.live
-    # the frame, rebuilt from n, is the region's: header to one past the end
-    assert freed_big.frame == wrapper_frame(freed_big.header_addr,
-                                            freed_big.obj_base + freed_big.raw_size)
+    # n is the region's frame: header to one past the end
+    n = freed_big.n
+    assert (n, frame_base(freed_big.header_addr, n)) == wrapper_frame(
+        freed_big.header_addr, freed_big.obj_base + freed_big.raw_size)
     # a released object of either class resolves to no record, so no id
     for freed in (freed_big, freed_small):
-        assert a.lookup(freed.tagged) == (None, None)
+        assert a.lookup(freed.tagged) is None
         assert a.free(freed.tagged) == (VerdictKind.DOUBLE_FREE, freed.obj_base, None, None)
     assert a.alloc(1).id == 5
 
@@ -435,7 +439,7 @@ def test_each_record_keeps_its_table_key(ops):
             depth -= 1
         for r in records:
             assert r.header_addr == r.obj_base - HEADER_SIZE
-            if r.is_small:
+            if r.n <= SLOT_BITS:
                 assert r.key == 0
             elif r.live:
                 assert r.key == a.table.entry_index(r.obj_base, r.n)
@@ -614,7 +618,7 @@ def test_rejected_alloc_leaves_arena_unchanged(size, call):
     assert a.alloc(40).id == 2
 
 
-# -- resolvers against the reference built from decode -------------------
+# -- resolvers against the reference built from split_pointer ------------
 
 def _outcome(fn, *args):
     """fn's result, or the type of the resolver error it raised."""
@@ -642,17 +646,17 @@ def test_resolvers_agree_with_reference_on_each_pointer_class():
     next_slot = slot_base(small.obj_base) + SLOT_SIZE
     addr = big.obj_base
     cases = [
-        (small.tagged, small.header_addr, (None, small)),
+        (small.tagged, small.header_addr, small),
         (rebase(small.tagged, next_slot), next_slot + small.header_addr % SLOT_SIZE,
-         (VerdictKind.OUT_OF_FRAME, None)),               # left its slot
-        (big.tagged, big.header_addr, (None, big)),
-        (freed.tagged, 0, (None, None)),                  # vacated entry
+         VerdictKind.OUT_OF_FRAME),                       # left its slot
+        (big.tagged, big.header_addr, big),
+        (freed.tagged, 0, None),                          # vacated entry
         (rebase(big.tagged, BASE - 1), ArenaRangeError,   # frame below the arena
-         (VerdictKind.OUT_OF_FRAME, None)),
+         VerdictKind.OUT_OF_FRAME),
         (rebase(big.tagged, BASE + a.size), ArenaRangeError,  # frame beyond it
-         (VerdictKind.OUT_OF_FRAME, None)),
-        (addr, TagError, (VerdictKind.UNTRACKED, None)),  # plain addresses
-        (ADDRESS_MASK, TagError, (VerdictKind.UNTRACKED, None)),
+         VerdictKind.OUT_OF_FRAME),
+        (addr, TagError, VerdictKind.UNTRACKED),          # plain addresses
+        (ADDRESS_MASK, TagError, VerdictKind.UNTRACKED),
         ((MIN_BIG_TAG - 1) << TAG_SHIFT | addr, TagError, TagError),
         ((MAX_BIG_TAG + 1) << TAG_SHIFT | addr, TagError, TagError),
         (TAG_MASK << TAG_SHIFT | addr, TagError, TagError),

@@ -10,9 +10,10 @@ from frameguard.frame_math import ADDRESS_MASK, SLOT_BITS, SLOT_SIZE
 from frameguard.harness import parse_trace, run_trace
 from frameguard.metadata import ArenaRangeError
 from frameguard.tagging import (
-    FLAG_BIT, MAX_BIG_TAG, MIN_BIG_TAG, TAG_MASK, TAG_SHIFT, TagError, decode, rebase)
+    FLAG_BIT, MAX_BIG_TAG, MIN_BIG_TAG, TAG_MASK, TAG_SHIFT, TagError, rebase)
 from frameguard.verdicts import Verdict, VerdictKind
-from oracles import check_access_oracle, copy_oracle, free_oracle, in_frame, is_untagged
+from oracles import (
+    check_access_oracle, copy_oracle, frame_base, free_oracle, in_frame, is_untagged, split_pointer)
 
 BASE = DEFAULT_ARENA_BASE
 
@@ -189,12 +190,12 @@ def test_full_arenas_at_any_aligned_base_check_every_object():
             assert access(ck, r, r.raw_size - 1, 1).kind is VerdictKind.OK
             assert access(ck, r, r.raw_size, 1).kind is VerdictKind.OVERFLOW
             assert access(ck, r, -1, 1).kind is VerdictKind.UNDERFLOW
-            below_base += not r.is_small and r.obj_base & -(1 << r.frame.n) < base
+            below_base += r.n > SLOT_BITS and frame_base(r.header_addr, r.n) < base
         for r in records:
             assert arena.free(r.tagged).kind is VerdictKind.OK
         for r in records:
             assert arena.free(r.tagged).kind is VerdictKind.DOUBLE_FREE
-            if not r.is_small:
+            if r.n > SLOT_BITS:
                 assert access(ck, r, 0, 1).kind is VerdictKind.USE_AFTER_FREE
     assert below_base > 0
 
@@ -213,8 +214,9 @@ def test_arith_in_frame_examples():
 def test_arith_big_framed_uses_tagged_n():
     arena, ck = setup()
     r = arena.alloc(1 << 17)
-    inside = rebase(r.tagged, r.frame.base + (1 << r.frame.n) - 1)
-    outside = rebase(r.tagged, r.frame.base + (1 << r.frame.n))
+    end = frame_base(r.header_addr, r.n) + (1 << r.n)
+    inside = rebase(r.tagged, end - 1)
+    outside = rebase(r.tagged, end)
     assert ck.check_arith(r.tagged, inside).kind is VerdictKind.OK
     assert ck.check_arith(r.tagged, outside).kind is VerdictKind.OUT_OF_FRAME
     # a flag-clear tag outside [16, 48] is no frame log
@@ -259,7 +261,7 @@ def test_check_arith_agrees_with_in_frame(step):
     if is_untagged(old):
         expected = VerdictKind.UNTRACKED
     else:
-        flag, tag, _ = decode(old)
+        flag, tag, _ = split_pointer(old)
         n = SLOT_BITS if flag else tag
         in_same = in_frame(old & ADDRESS_MASK, new_addr, n)
         expected = VerdictKind.OK if in_same else VerdictKind.OUT_OF_FRAME

@@ -8,7 +8,7 @@ from frameguard.arena import Arena
 from frameguard.frame_math import SLOT_SIZE
 from frameguard.metadata import EntryConflictError
 from frameguard.tagging import TagError, decode, rebase
-from oracles import is_untagged, slot_base, tag_big, tag_small, wrapper_frame_oracle
+from oracles import is_untagged, slot_base, split_pointer, tag_big, tag_small, wrapper_frame_oracle
 
 SLOT = 0x0000_1000_0000_8000
 
@@ -38,6 +38,12 @@ def test_encode_big_examples():
 
 def test_decode_zero():
     assert decode(0) == (0, 0, 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, (1 << 64) - 1))
+def test_decode_agrees_with_the_reference_split(p):
+    assert decode(p) == split_pointer(p)
 
 
 def test_round_trips():
@@ -106,7 +112,7 @@ def test_minted_tags_match_the_reference(allocs, pad, jitter, seed, base):
             break
         header, obj = r.header_addr, r.obj_base
         n = wrapper_frame_oracle(header, header + total - 1 + pad)
-        assert r.frame.n == n
+        assert r.n == n
         if n <= 15:
             assert r.tagged == tag_small(header, obj)
             assert decode(r.tagged) == (1, header - slot_base(header), obj)
