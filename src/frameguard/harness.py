@@ -36,12 +36,10 @@ expressed.  An alloc inside scope_begin/scope_end joins the innermost
 open scope, a realloc keeps its object's scope, and scope_end releases
 the scope's live objects, as a function epilogue vacates its locals.
 
-Each line parses to a `TraceEvent` named tuple (op, id, id2, args)
-whose op is the `_GRAMMAR` key, whose ids are the strings of their
-defining allocs and whose args tuple is shared by every line with equal
-fields, so a long trace holds each name and each distinct args tuple
-once.  A str trace is split into lines a slice at a time, with no copy
-of the whole text.
+parse_trace returns a `Trace`, which holds each line as one row of ints
+and each id string and distinct args tuple once; indexing or iterating
+it gives `TraceEvent` named tuples (op, id, id2, args).  A str trace is
+split into lines a slice at a time, with no copy of the whole text.
 """
 
 from __future__ import annotations
@@ -49,8 +47,9 @@ from __future__ import annotations
 import json
 import math
 import random
+from array import array
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, count
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .arena import DEFAULT_ARENA_BASE, DEFAULT_ARENA_SIZE, DEFAULT_PAD_BYTES, Arena
@@ -139,20 +138,47 @@ _GRAMMAR = {
     "scope_begin": _Op(0, (), scope=1),
     "scope_end": _Op(0, (), scope=-1),
 }
+_OPS = tuple(_GRAMMAR)      # a row's op code is its op's index here
+_ALLOC, _ALLOC_ARRAY, _REALLOC, _FREE, _LOAD, _STORE, _PTR_ADD, _SCOPE_BEGIN = map(_OPS.index, (
+    "alloc", "alloc_array", "realloc", "free", "load", "store", "ptr_add", "scope_begin"))
 
 
 def _compile(op: str, spec: _Op) -> tuple:
-    """parse_trace's row for one op: (op, ids, fewest and most tokens,
-    (token index, name, lowest, highest, each bound as int or None if
-    infinite) for each field, defines, scope)."""
+    """parse_trace's row for one op: (op, op code, ids, fewest and most
+    tokens, (token index, name, lowest, highest, each bound as int or
+    None if infinite) for each field, defines, scope)."""
     n_ids, fields, optional, defines, scope = spec
     most = 1 + n_ids + len(fields)
     checks = tuple((i, name, lo, hi, None if lo == -math.inf else lo, None if hi == math.inf else hi)
                    for i, (name, lo, hi) in enumerate(fields, start=1 + n_ids))
-    return op, n_ids, most - optional, most, checks, defines, scope
+    return op, _OPS.index(op), n_ids, most - optional, most, checks, defines, scope
 
 
 _ROWS = {op: _compile(op, spec) for op, spec in _GRAMMAR.items()}
+
+
+class Trace(Sequence):
+    """parse_trace's events as row columns (op codes, id and id2 indexes in
+    names, whose 0 is "", and args tuples); it equals a list of equal events."""
+
+    def __init__(self, rows: tuple[bytearray, array, array, list], names: list[str]):
+        self.rows, self.names = rows, names
+
+    def _event(self, op: int, i: int, i2: int, args: tuple[int, ...]) -> TraceEvent:
+        return tuple.__new__(TraceEvent, (_OPS[op], self.names[i], self.names[i2], args))
+
+    def __len__(self) -> int:
+        return len(self.rows[0])
+
+    def __getitem__(self, k):
+        return list(self)[k] if isinstance(k, slice) else self._event(*[c[k] for c in self.rows])
+
+    def __iter__(self) -> Iterator[TraceEvent]:
+        return map(self._event, *self.rows)
+
+    def __eq__(self, other: object) -> bool:
+        return (isinstance(other, (Trace, list)) and len(self) == len(other)
+                and all(a == b for a, b in zip(self, other)))
 
 
 _CHUNK = 1 << 16    # about this many characters of a str trace are split at a time
@@ -177,22 +203,20 @@ def _line_lists(text: str) -> Iterator[list[str]]:
         start = stop
 
 
-def parse_trace(source: str | Iterable[str]) -> list[TraceEvent]:
+def parse_trace(source: str | Iterable[str]) -> Trace:
     """Parse trace text into events, each line checked once against
     `_ROWS`.  A refused line raises TraceSyntaxError at its first failed
     check, in this order: the op, the argument count, each used id, each
     field (an integer, then in bounds), the alloc_array product and the
     scope depth.  A str is split into lines by `_line_lists`, the way a
-    text-mode file splits them, with no copy of the whole text.  Equal
-    args tuples are one object, as equal ids are."""
+    text-mode file splits them, with no copy of the whole text.  Each line
+    is one `Trace` row; equal args tuples are one object, as equal ids are."""
     lines = chain.from_iterable(_line_lists(source)) if isinstance(source, str) else source
-    events: list[TraceEvent] = []
-    append = events.append
-    defined: dict[str, str] = {}
+    rows = ops, ids, ids2, argss = bytearray(), array("I"), array("I"), []
+    defined = {"": 0}   # each id, in order, to its index in the Trace's names
     known = defined.setdefault
     share = {}.setdefault   # each distinct args tuple, kept once
-    rows = _ROWS
-    new = tuple.__new__
+    table = _ROWS
     depth = 0
     for line_no, line in enumerate(lines, start=1):
         if "#" in line:
@@ -201,7 +225,7 @@ def parse_trace(source: str | Iterable[str]) -> list[TraceEvent]:
         if not toks:
             continue
         try:
-            op, n_ids, fewest, most, fields, defines, scope = rows[toks[0]]
+            op, code, n_ids, fewest, most, fields, defines, scope = table[toks[0]]
         except KeyError:
             raise TraceSyntaxError(line_no, f"unknown operation {cut(toks[0])}") from None
         n = len(toks)
@@ -212,13 +236,12 @@ def parse_trace(source: str | Iterable[str]) -> list[TraceEvent]:
             toks.append("0")    # the optional field, left off, reads as 0
         try:
             if not n_ids:
-                name = name2 = ""
+                ix = ix2 = 0
             elif defines:
-                name = known(toks[1], toks[1])
-                name2 = ""
+                ix, ix2 = known(toks[1], len(defined)), 0
             else:
-                name = defined[toks[1]]
-                name2 = defined[toks[2]] if n_ids == 2 else ""
+                ix = defined[toks[1]]
+                ix2 = defined[toks[2]] if n_ids == 2 else 0
         except KeyError as e:
             raise TraceSyntaxError(line_no, f"undefined id {cut(e.args[0])}") from None
         args = ()
@@ -232,14 +255,17 @@ def parse_trace(source: str | Iterable[str]) -> list[TraceEvent]:
                 raise TraceSyntaxError(line_no, f"{field} {cut(tok, False)} outside [{lo}, {hi}]")
             args += (v,)
         # the product is the header's 32-bit size field
-        if op == "alloc_array" and args[0] * args[1] > _U32_MAX:
+        if code == _ALLOC_ARRAY and args[0] * args[1] > _U32_MAX:
             raise TraceSyntaxError(
                 line_no, f"count * elem_size {cut(args[0] * args[1])} outside [1, {_U32_MAX}]")
         depth += scope
         if depth < 0:
             raise TraceSyntaxError(line_no, "scope_end without matching scope_begin")
-        append(new(TraceEvent, (op, name, name2, share(args, args))))
-    return events
+        ops.append(code)
+        ids.append(ix)
+        ids2.append(ix2)
+        argss.append(share(args, args))
+    return Trace(rows, list(defined))
 
 
 # each op's line shape for format_trace: (ids, fields, last field optional)
@@ -272,6 +298,20 @@ class TraceRuntimeError(RuntimeError):
     """A trace event could not be executed (unknown id, bad address)."""
 
 
+def _event_rows(events: Iterable[TraceEvent], names: list[str], bindings: list[int]):
+    """(index, op code, id and id2 indexes, args) of each event, as read; new ids join names."""
+    index_of = {"": 0}
+    for index, (op, name, name2, args) in enumerate(events):
+        if op not in _ROWS:     # raised at the event's own turn
+            raise TraceRuntimeError(f"unknown operation {cut(op)}")
+        if name not in index_of or name2 not in index_of:
+            for new in (name, name2):
+                if index_of.setdefault(new, len(names)) == len(names):
+                    names.append(new)
+                    bindings.append(0)
+        yield index, _ROWS[op][1], index_of[name], index_of[name2], args
+
+
 def run_trace(events: Iterable[TraceEvent], config: EngineConfig | None = None) -> RunReport:
     """Execute events from any iterable, in order; violations are data, never exceptions."""
     config = config or EngineConfig()
@@ -281,10 +321,13 @@ def run_trace(events: Iterable[TraceEvent], config: EngineConfig | None = None) 
     checker = Checker(arena)
     check_access = checker.check_access
     alloc, alloc_array, free = arena.alloc, arena.alloc_array, arena.free
-    copy_checks = {"memcpy": checker.check_memcpy, "strcpy": checker.check_strcpy,
-                   "strncpy": checker.check_strncpy}
-    # each id's canonical tagged pointer: it addresses the object base
-    bindings: dict[str, int] = {}
+    copy_checks = {_OPS.index(op): getattr(checker, "check_" + op)
+                   for op in ("memcpy", "strcpy", "strncpy")}
+    # bindings[i]: names[i]'s canonical tagged pointer (its object base), 0 unbound
+    names = events.names if isinstance(events, Trace) else [""]
+    bindings = [0] * len(names)
+    rows = (zip(count(), *events.rows) if isinstance(events, Trace)
+            else _event_rows(events, names, bindings))
     # bound canonical pointer -> pointer ptr_add moved; a rebound id's old
     # pointer is never looked up again, but a freed id's stays for copies
     cursors: dict[int, int] = {}
@@ -292,25 +335,24 @@ def run_trace(events: Iterable[TraceEvent], config: EngineConfig | None = None) 
     oks = 0     # ok verdicts of load, store and free, kept apart from counts
     violations: list[tuple[int, str]] = []
 
-    def _bound(name: str) -> int:
-        try:
-            return bindings[name]
-        except KeyError:
-            raise TraceRuntimeError(f"id {cut(name)} used before allocation") from None
+    def _bound(i: int) -> int:
+        if not bindings[i]:
+            raise TraceRuntimeError(f"id {cut(names[i])} used before allocation")
+        return bindings[i]
 
     index = -1      # the loop counts the events
-    for index, (op, name, name2, args) in enumerate(events):
+    for index, op, ix, ix2, args in rows:
         verdict: Verdict | None = None
-        if op in ("load", "store", "ptr_add"):
+        if op == _LOAD or op == _STORE or op == _PTR_ADD:
             # the hot path: binding lookup inline (a tagged pointer is
             # never 0, and _bound raises for an unbound id)
-            base = bindings.get(name) or _bound(name)
+            base = bindings[ix] or _bound(ix)
             try:    # rebase is the one range check of the address
                 tagged = rebase(base, (base & ADDRESS_MASK) + args[0])
             except TagError:
-                raise TraceRuntimeError(
-                    f"offset {cut(args[0])} moves {cut(name)} outside the 48-bit space") from None
-            if op == "ptr_add":
+                raise TraceRuntimeError(f"offset {cut(args[0])} moves {cut(names[ix])} "
+                                        "outside the 48-bit space") from None
+            if op == _PTR_ADD:
                 if config.arith_checks:
                     verdict = checker.check_arith(cursors.get(base, base), tagged)
                 cursors[base] = tagged
@@ -319,31 +361,29 @@ def run_trace(events: Iterable[TraceEvent], config: EngineConfig | None = None) 
                 if verdict[0] is OK:
                     oks += 1
                     continue
-        elif op == "alloc" or op == "alloc_array":
-            cursors.pop(bindings.get(name), None)
-            bindings[name] = (alloc if op == "alloc" else alloc_array)(*args).tagged
-        elif op == "free":
-            verdict = free(bindings.get(name) or _bound(name))
+        elif op == _ALLOC or op == _ALLOC_ARRAY:
+            cursors.pop(bindings[ix], None)
+            bindings[ix] = (alloc if op == _ALLOC else alloc_array)(*args).tagged
+        elif op == _FREE:
+            verdict = free(bindings[ix] or _bound(ix))
             if verdict[0] is OK:
                 oks += 1
                 continue
-        elif op == "realloc":
-            verdict, record = arena.realloc(_bound(name), args[0])
+        elif op == _REALLOC:
+            verdict, record = arena.realloc(bindings[ix] or _bound(ix), args[0])
             if record is not None:
-                cursors.pop(bindings[name], None)
-                bindings[name] = record.tagged
+                cursors.pop(bindings[ix], None)
+                bindings[ix] = record.tagged
         elif op in copy_checks:
-            dst, src = _bound(name), _bound(name2)
+            dst, src = _bound(ix), _bound(ix2)
             verdict = copy_checks[op](cursors.get(dst, dst), cursors.get(src, src), args[0])
-        elif op == "scope_begin":
+        elif op == _SCOPE_BEGIN:
             arena.scope_begin()
-        elif op == "scope_end":
+        else:   # scope_end, the one code left
             try:
                 arena.scope_end()
             except IndexError:
                 raise TraceRuntimeError("scope_end without matching scope_begin") from None
-        else:
-            raise TraceRuntimeError(f"unknown operation {cut(op)}")
         if verdict is not None:
             # counted by member: a member's .value read is slow per event
             kind = verdict.kind

@@ -173,6 +173,26 @@ def test_free_verdicts():
     assert a.free(0x1234).kind is VerdictKind.UNTRACKED
 
 
+@pytest.mark.parametrize("size", [64, 128 << 10], ids=["small", "big"])
+def test_free_through_an_interior_pointer_releases_the_object(size):
+    # a deliberate miss (CWE-761, README's Coverage): free and realloc
+    # resolve the header from any pointer in the frame, so a pointer 8
+    # bytes into the object releases it as its base would
+    a = small_arena()
+    r = a.alloc(size)
+    verdict = a.free(r.tagged + 8)
+    assert verdict.kind is VerdictKind.OK and verdict.alloc_id == r.id
+    assert verdict.address == r.obj_base + 8
+    assert a.lookup(r.tagged) is None and a.stats()["live_allocations"] == 0
+    assert a.free(r.tagged).kind is VerdictKind.DOUBLE_FREE
+
+    s = a.alloc(size)
+    verdict, moved = a.realloc(s.tagged + 8, 2 * size)
+    assert verdict.kind is VerdictKind.OK and moved is not None
+    assert a.lookup(s.tagged) is None and a.lookup(moved.tagged) is moved
+    assert a.records == [moved]
+
+
 def test_scope_end_resets_big_entries():
     a = small_arena()
     a.scope_begin()

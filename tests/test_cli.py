@@ -1,9 +1,11 @@
 import contextlib
+import gc
 import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -551,3 +553,25 @@ def test_any_gen_options_exit_0_with_a_trace_that_replays_its_manifest_or_2(argv
     manifest = json.loads(manifest_file.read_text())
     assert manifest["fault_count"] == len(manifest["faults"])
     assert run_trace(events).violations == [(f["event"], f["kind"]) for f in manifest["faults"]]
+
+
+def test_run_peaks_at_a_bounded_size_per_event(tmp_path):
+    # a small_hot-shaped trace: 2000 small objects, 32 accesses each,
+    # 70,000 events.  About 57 B an event: the file's bytes and their
+    # decoded text (16 B a line each), the parsed rows and the replay.
+    params = WorkloadParams(objects=2000, size_dist="uniform:8:512", accesses_per_object=32,
+                            fault_rate=0.02, edge_probe=True)
+    events, _ = gen_workload(7, params)
+    trace = tmp_path / "t.txt"
+    trace.write_text(format_trace(events))
+    n = len(events)
+    del events
+    gc.collect()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["run", str(trace)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / n < 70

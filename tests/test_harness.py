@@ -1,3 +1,4 @@
+import collections.abc
 import functools
 import gc
 import hashlib
@@ -508,6 +509,32 @@ def test_args_that_do_not_fit_their_op_raise_type_error(op, args):
         format_trace([TraceEvent(op, "a", "", args)])
 
 
+def test_a_trace_is_a_sequence_of_its_events():
+    text = "alloc a 40\nalloc b 8 7\nscope_begin\nmemcpy b a 8\nload a 0 8\nscope_end\n"
+    trace = parse_trace(text)
+    events = [TraceEvent("alloc", "a", "", (40, 0)), TraceEvent("alloc", "b", "", (8, 7)),
+              TraceEvent("scope_begin"), TraceEvent("memcpy", "b", "a", (8,)),
+              TraceEvent("load", "a", "", (0, 8)), TraceEvent("scope_end")]
+    assert isinstance(trace, harness.Trace) and isinstance(trace, collections.abc.Sequence)
+    assert len(trace) == 6
+    assert [trace[k] for k in range(6)] == events == [trace[k] for k in range(-6, 0)]
+    assert trace[-1] == events[-1] and trace[1:4] == events[1:4]
+    for k in (6, -7):
+        with pytest.raises(IndexError):
+            trace[k]
+    # == and != against a list, in either order
+    assert trace == events and events == trace and trace == parse_trace(text)
+    assert not (trace != events or events != trace)
+    changed = events[:4] + [TraceEvent("load", "a", "", (0, 4))] + events[5:]
+    for other in (changed, events[:-1], events + events[-1:], []):
+        assert trace != other and other != trace
+        assert not (trace == other or other == trace)
+    assert trace != tuple(events) and trace != text
+    # indexing and iteration share the row's objects
+    assert trace[3].id2 is trace[0].id and trace[3].id is trace[1].id
+    assert trace[4].args is list(trace)[4].args and trace[2].op is list(trace)[2].op
+
+
 def test_events_share_op_and_id_strings():
     text = "alloc buf_1 64\nalloc dst_2 8\nstore buf_1 0 4\nmemcpy dst_2 buf_1 8\nfree buf_1\n"
     events = parse_trace(text)
@@ -554,9 +581,10 @@ def _parse_footprint(line_end: str = "\n") -> tuple[int, int, int, int]:
 
 def test_parsed_events_retain_few_bytes_each():
     n, _, retained, _ = _parse_footprint()
-    # about 94 B: the list slot and the 72 B event; equal args tuples,
-    # and the ints past the small-int cache in them, are one object
-    assert retained / n < 110
+    # about 23 B: a row's op code, ids and args reference (17 B) and the
+    # columns' spare room; equal args tuples, and the ints past the
+    # small-int cache in them, are one object, and no event is built
+    assert retained / n < 30
 
 
 @pytest.mark.parametrize("line_end", ["\n", "\r"])
@@ -871,6 +899,68 @@ def test_run_trace_reads_any_iterable_once():
     assert run_trace(ev for ev in events) == listed
     assert listed.event_count == len(events)
     assert run_trace(iter(())).event_count == 0
+
+
+# sizes of both frame classes, and offsets around their bounds
+_RUN_SIZES = st.sampled_from([1, 10, 40, 64, 500, 4096, 40000, 1 << 16, (1 << 17) + 3])
+_RUN_OFFSETS = st.one_of(st.integers(-32, 80), st.sampled_from([-(1 << 16), 1 << 15, 1 << 17]))
+
+
+@st.composite
+def _runnable_traces(draw):
+    """A valid trace over all twelve ops, with nested scopes, whose
+    sizes and offsets a default arena replays."""
+    events, ids, depth = [], [], 0
+    for _ in range(draw(st.integers(0, 40))):
+        ops = ["alloc", "alloc_array", "scope_begin"] + ["scope_end"] * (depth > 0)
+        if ids:
+            ops += ["realloc", "free", "load", "store", "ptr_add",
+                    "memcpy", "strcpy", "strncpy"] * 2
+        op = draw(st.sampled_from(ops))
+        if op in ("alloc", "alloc_array"):
+            ids.append(draw(st.sampled_from(ids + ["a", "b", "c", "d"])))
+            size = draw(_RUN_SIZES)
+            ev = TraceEvent(op, ids[-1], args=(size, draw(st.integers(0, 2))) if op == "alloc"
+                            else (max(1, size // 8), 8))
+        elif op in ("scope_begin", "scope_end"):
+            depth += 1 if op == "scope_begin" else -1
+            ev = TraceEvent(op)
+        else:
+            name = draw(st.sampled_from(ids))
+            if op == "realloc":
+                ev = TraceEvent(op, name, args=(draw(_RUN_SIZES),))
+            elif op == "free":
+                ev = TraceEvent(op, name)
+            elif op in ("load", "store"):
+                ev = TraceEvent(op, name, args=(draw(_RUN_OFFSETS), draw(st.integers(1, 16))))
+            elif op == "ptr_add":
+                ev = TraceEvent(op, name, args=(draw(_RUN_OFFSETS),))
+            else:
+                ev = TraceEvent(op, name, draw(st.sampled_from(ids)), (draw(st.integers(0, 70000)),))
+        events.append(ev)
+    return events + [TraceEvent("scope_end")] * depth
+
+
+def _run_outcome(events, config):
+    """run_trace's report, or the type and message of what it raised."""
+    try:
+        return run_trace(events, config)
+    except (TraceRuntimeError, ValueError) as e:
+        return type(e), str(e)
+
+
+@settings(deadline=None, max_examples=300)
+@given(events=_runnable_traces(), arith_checks=st.booleans())
+@example(events=parse_trace("scope_begin\nalloc a 40\nscope_begin\nalloc_array b 3 8\n"
+                            "load a 0 4\nstore b 24 1\nptr_add a 48\nmemcpy b a 8\n"
+                            "strcpy a b 30\nstrncpy b a 4\nrealloc a 200000\nfree b\n"
+                            "scope_end\nfree a\nscope_end\n"), arith_checks=True)
+def test_a_trace_its_list_and_a_generator_over_it_replay_alike(events, arith_checks):
+    trace = parse_trace(format_trace(events))
+    config = EngineConfig(arith_checks=arith_checks)
+    outcome = _run_outcome(trace, config)
+    assert _run_outcome(list(trace), config) == outcome
+    assert _run_outcome((ev for ev in trace), config) == outcome
 
 
 # -- workload generation -------------------------------------------------
