@@ -159,7 +159,8 @@ _ROWS = {op: _compile(op, spec) for op, spec in _GRAMMAR.items()}
 
 class Trace(Sequence):
     """parse_trace's events as row columns (op codes, id and id2 indexes in
-    names, whose 0 is "", and args tuples); it equals a list of equal events."""
+    names, whose 0 is "", and args tuples); it equals a list of equal events.
+    The rows have passed parse_trace's rules, and replay does not check them again."""
 
     def __init__(self, rows: tuple[bytearray, array, array, list], names: list[str]):
         self.rows, self.names = rows, names
@@ -299,17 +300,27 @@ class TraceRuntimeError(RuntimeError):
 
 
 def _event_rows(events: Iterable[TraceEvent], names: list[str], bindings: list[int]):
-    """(index, op code, id and id2 indexes, args) of each event, as read; new ids join names."""
-    index_of = {"": 0}
+    """(index, op code, id and id2 indexes, args) of each event, made at its
+    own turn under parse_trace's rules for ops, ids and scopes; new ids join names."""
+    defined: dict[str, int] = {}    # each id an alloc named, to its index in names
+    depth = 0
     for index, (op, name, name2, args) in enumerate(events):
-        if op not in _ROWS:     # raised at the event's own turn
-            raise TraceRuntimeError(f"unknown operation {cut(op)}")
-        if name not in index_of or name2 not in index_of:
-            for new in (name, name2):
-                if index_of.setdefault(new, len(names)) == len(names):
-                    names.append(new)
-                    bindings.append(0)
-        yield index, _ROWS[op][1], index_of[name], index_of[name2], args
+        try:
+            _, code, n_ids, _, _, _, defines, scope = _ROWS[op]
+        except KeyError:
+            raise TraceRuntimeError(f"unknown operation {cut(op)}") from None
+        if defines and defined.setdefault(name, len(names)) == len(names):
+            names.append(name)
+            bindings.append(0)
+        try:    # only the ids the op uses, dst before src
+            ix = defined[name] if n_ids else 0
+            ix2 = defined[name2] if n_ids == 2 else 0
+        except KeyError as e:
+            raise TraceRuntimeError(f"id {cut(e.args[0])} used before allocation") from None
+        depth += scope
+        if depth < 0:
+            raise TraceRuntimeError("scope_end without matching scope_begin")
+        yield index, code, ix, ix2, args
 
 
 def run_trace(events: Iterable[TraceEvent], config: EngineConfig | None = None) -> RunReport:
@@ -328,25 +339,16 @@ def run_trace(events: Iterable[TraceEvent], config: EngineConfig | None = None) 
     bindings = [0] * len(names)
     rows = (zip(count(), *events.rows) if isinstance(events, Trace)
             else _event_rows(events, names, bindings))
-    # bound canonical pointer -> pointer ptr_add moved; a rebound id's old
-    # pointer is never looked up again, but a freed id's stays for copies
-    cursors: dict[int, int] = {}
+    cursors: dict[int, int] = {}    # id index -> pointer ptr_add moved
     counts = dict.fromkeys(VerdictKind, 0)
     oks = 0     # ok verdicts of load, store and free, kept apart from counts
     violations: list[tuple[int, str]] = []
-
-    def _bound(i: int) -> int:
-        if not bindings[i]:
-            raise TraceRuntimeError(f"id {cut(names[i])} used before allocation")
-        return bindings[i]
 
     index = -1      # the loop counts the events
     for index, op, ix, ix2, args in rows:
         verdict: Verdict | None = None
         if op == _LOAD or op == _STORE or op == _PTR_ADD:
-            # the hot path: binding lookup inline (a tagged pointer is
-            # never 0, and _bound raises for an unbound id)
-            base = bindings[ix] or _bound(ix)
+            base = bindings[ix]
             try:    # rebase is the one range check of the address
                 tagged = rebase(base, (base & ADDRESS_MASK) + args[0])
             except TagError:
@@ -354,36 +356,33 @@ def run_trace(events: Iterable[TraceEvent], config: EngineConfig | None = None) 
                                         "outside the 48-bit space") from None
             if op == _PTR_ADD:
                 if config.arith_checks:
-                    verdict = checker.check_arith(cursors.get(base, base), tagged)
-                cursors[base] = tagged
+                    verdict = checker.check_arith(cursors.get(ix, base), tagged)
+                cursors[ix] = tagged
             else:
                 verdict = check_access(AccessRequest(tagged, args[1]))
                 if verdict[0] is OK:
                     oks += 1
                     continue
         elif op == _ALLOC or op == _ALLOC_ARRAY:
-            cursors.pop(bindings[ix], None)
+            cursors.pop(ix, None)
             bindings[ix] = (alloc if op == _ALLOC else alloc_array)(*args).tagged
         elif op == _FREE:
-            verdict = free(bindings[ix] or _bound(ix))
+            verdict = free(bindings[ix])
             if verdict[0] is OK:
                 oks += 1
                 continue
         elif op == _REALLOC:
-            verdict, record = arena.realloc(bindings[ix] or _bound(ix), args[0])
+            verdict, record = arena.realloc(bindings[ix], args[0])
             if record is not None:
-                cursors.pop(bindings[ix], None)
+                cursors.pop(ix, None)
                 bindings[ix] = record.tagged
         elif op in copy_checks:
-            dst, src = _bound(ix), _bound(ix2)
-            verdict = copy_checks[op](cursors.get(dst, dst), cursors.get(src, src), args[0])
+            verdict = copy_checks[op](cursors.get(ix, bindings[ix]),
+                                      cursors.get(ix2, bindings[ix2]), args[0])
         elif op == _SCOPE_BEGIN:
             arena.scope_begin()
         else:   # scope_end, the one code left
-            try:
-                arena.scope_end()
-            except IndexError:
-                raise TraceRuntimeError("scope_end without matching scope_begin") from None
+            arena.scope_end()
         if verdict is not None:
             # counted by member: a member's .value read is slow per event
             kind = verdict.kind

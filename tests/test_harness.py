@@ -635,13 +635,62 @@ def test_far_big_access_is_judged_against_the_frames_live_owner():
 
 
 @pytest.mark.parametrize("op, args", [
-    ("load", (0, 1)), ("store", (0, 1)), ("ptr_add", (0,)),
+    ("load", (0, 1)), ("store", (0, 1)), ("ptr_add", (0,)), ("free", ()), ("realloc", (64,)),
 ])
 def test_unbound_id_is_a_runtime_error_naming_it(op, args):
     # parse_trace refuses such a line, so the events are built by hand
     events = [TraceEvent("alloc", id="a", args=(40, 0)), TraceEvent(op, id="ghost", args=args)]
     with pytest.raises(TraceRuntimeError, match="id 'ghost' used before allocation"):
         run_trace(events)
+
+
+_ALLOC_A = TraceEvent("alloc", id="a", args=(40, 0))
+
+
+@pytest.mark.parametrize("dst, src", [("ghost", "a"), ("a", "ghost"), ("ghost", "phantom")],
+                         ids=["dst", "src", "both"])
+@pytest.mark.parametrize("op", ["memcpy", "strcpy", "strncpy"])
+def test_an_unbound_copy_operand_is_a_runtime_error_naming_dst_first(op, dst, src):
+    with pytest.raises(TraceRuntimeError) as e:
+        run_trace([_ALLOC_A, TraceEvent(op, dst, src, (8,))])
+    assert str(e.value) == "id 'ghost' used before allocation"
+
+
+def _reading(events, read):
+    """A one-shot generator over events that records in read each index it yields."""
+    for k, event in enumerate(events):
+        read.append(k)
+        yield event
+
+
+@pytest.mark.parametrize("bad", [
+    TraceEvent("bogus"), TraceEvent("load", id="ghost", args=(0, 1)),
+    TraceEvent("free", id="ghost"), TraceEvent("memcpy", "a", "ghost", (8,)),
+    TraceEvent("scope_end"), TraceEvent("store", id="a", args=(1 << 48, 1)),
+], ids=["unknown_op", "unbound_load", "unbound_free", "unbound_src", "scope_end", "offset"])
+def test_an_event_iterables_error_leaves_the_events_after_it_unread(bad):
+    read = []
+    events = [_ALLOC_A, TraceEvent("store", id="a", args=(0, 1)), bad,
+              TraceEvent("store", id="a", args=(0, 1)), TraceEvent("alloc", id="b", args=(8, 0))]
+    with pytest.raises(TraceRuntimeError):
+        run_trace(_reading(events, read))
+    assert read == [0, 1, 2]
+
+
+@pytest.mark.parametrize("events, turn, message", [
+    # the offset error at event 1 comes before the unbound id at event 2
+    ([_ALLOC_A, TraceEvent("store", id="a", args=(1 << 48, 1)),
+      TraceEvent("load", id="ghost", args=(0, 1))],
+     1, "offset 281474976710656 moves 'a' outside the 48-bit space"),
+    ([TraceEvent("scope_begin"), TraceEvent("scope_end"), TraceEvent("scope_end")],
+     2, "scope_end without matching scope_begin"),
+], ids=["offset_before_unbound", "third_scope_end"])
+def test_an_event_iterables_first_error_wins_at_its_turn(events, turn, message):
+    read = []
+    with pytest.raises(TraceRuntimeError) as e:
+        run_trace(_reading(events, read))
+    assert str(e.value) == message
+    assert read == list(range(turn + 1))
 
 
 @pytest.mark.parametrize("name, offset, shown", [
