@@ -36,10 +36,10 @@ expressed.  An alloc inside scope_begin/scope_end joins the innermost
 open scope, a realloc keeps its object's scope, and scope_end releases
 the scope's live objects, as a function epilogue vacates its locals.
 
-parse_trace returns a `Trace`, which holds each line as one row of ints
-and each id string and distinct args tuple once; indexing or iterating
-it gives `TraceEvent` named tuples (op, id, id2, args).  A str trace is
-split into lines a slice at a time, with no copy of the whole text.
+parse_trace returns a `Trace`, which holds each line as one row of ints,
+its fields in two int columns, and each id string once; indexing or
+iterating it gives `TraceEvent` named tuples (op, id, id2, args).  A str
+trace is split into lines a slice at a time, with no copy of the whole text.
 """
 
 from __future__ import annotations
@@ -145,34 +145,42 @@ _ALLOC, _ALLOC_ARRAY, _REALLOC, _FREE, _LOAD, _STORE, _PTR_ADD, _SCOPE_BEGIN = m
 
 def _compile(op: str, spec: _Op) -> tuple:
     """parse_trace's row for one op: (op, op code, ids, fewest and most
-    tokens, (token index, name, lowest, highest, each bound as int or
-    None if infinite) for each field, defines, scope)."""
+    tokens, (token index, column 0 or 1, name, lowest, highest, each bound
+    as int or None if infinite) for each field, defines, scope)."""
     n_ids, fields, optional, defines, scope = spec
     most = 1 + n_ids + len(fields)
-    checks = tuple((i, name, lo, hi, None if lo == -math.inf else lo, None if hi == math.inf else hi)
-                   for i, (name, lo, hi) in enumerate(fields, start=1 + n_ids))
+    checks = tuple((1 + n_ids + col, col, name, lo, hi, None if lo == -math.inf else lo,
+                    None if hi == math.inf else hi) for col, (name, lo, hi) in enumerate(fields))
     return op, _OPS.index(op), n_ids, most - optional, most, checks, defines, scope
 
 
 _ROWS = {op: _compile(op, spec) for op, spec in _GRAMMAR.items()}
+_N_FIELDS = tuple(len(spec.fields) for spec in _GRAMMAR.values())    # by op code
+
+
+def _widened(column: array, v: int) -> array | list:
+    """column's values and v, which it cannot hold, in array('q') or, past 64 bits, a list."""
+    return array("q", [*column, v]) if -1 << 63 <= v < 1 << 63 else [*column, v]
 
 
 class Trace(Sequence):
-    """parse_trace's events as row columns (op codes, id and id2 indexes in
-    names, whose 0 is "", and args tuples); it equals a list of equal events.
-    The rows have passed parse_trace's rules, and replay does not check them again."""
+    """parse_trace's events as row columns (op codes, id and id2 indexes in names,
+    whose 0 is "", and two int field columns, see `_widened`); it equals a list of
+    equal events.  The rows have passed parse_trace's rules; replay does not check them again."""
 
-    def __init__(self, rows: tuple[bytearray, array, array, list], names: list[str]):
+    def __init__(self, rows: tuple, names: list[str]):
         self.rows, self.names = rows, names
 
-    def _event(self, op: int, i: int, i2: int, args: tuple[int, ...]) -> TraceEvent:
-        return tuple.__new__(TraceEvent, (_OPS[op], self.names[i], self.names[i2], args))
+    def _event(self, op: int, i: int, i2: int, f1: int, f2: int) -> TraceEvent:
+        return tuple.__new__(TraceEvent, (_OPS[op], self.names[i], self.names[i2],
+                                          (f1, f2)[:_N_FIELDS[op]]))
 
     def __len__(self) -> int:
         return len(self.rows[0])
 
     def __getitem__(self, k):
-        return list(self)[k] if isinstance(k, slice) else self._event(*[c[k] for c in self.rows])
+        columns = [c[k] for c in self.rows]
+        return list(map(self._event, *columns)) if isinstance(k, slice) else self._event(*columns)
 
     def __iter__(self) -> Iterator[TraceEvent]:
         return map(self._event, *self.rows)
@@ -211,12 +219,11 @@ def parse_trace(source: str | Iterable[str]) -> Trace:
     field (an integer, then in bounds), the alloc_array product and the
     scope depth.  A str is split into lines by `_line_lists`, the way a
     text-mode file splits them, with no copy of the whole text.  Each line
-    is one `Trace` row; equal args tuples are one object, as equal ids are."""
+    is one `Trace` row, its fields in two int columns."""
     lines = chain.from_iterable(_line_lists(source)) if isinstance(source, str) else source
-    rows = ops, ids, ids2, argss = bytearray(), array("I"), array("I"), []
+    ops, ids, ids2, f1, f2 = bytearray(), array("I"), array("I"), array("i"), array("i")
     defined = {"": 0}   # each id, in order, to its index in the Trace's names
     known = defined.setdefault
-    share = {}.setdefault   # each distinct args tuple, kept once
     table = _ROWS
     depth = 0
     for line_no, line in enumerate(lines, start=1):
@@ -245,8 +252,8 @@ def parse_trace(source: str | Iterable[str]) -> Trace:
                 ix2 = defined[toks[2]] if n_ids == 2 else 0
         except KeyError as e:
             raise TraceSyntaxError(line_no, f"undefined id {cut(e.args[0])}") from None
-        args = ()
-        for i, field, lo, hi, low, high in fields:
+        v1 = v2 = 0     # an unused column reads 0
+        for i, col, field, lo, hi, low, high in fields:
             tok = toks[i]
             try:
                 v = int(tok, 0)
@@ -254,19 +261,29 @@ def parse_trace(source: str | Iterable[str]) -> Trace:
                 raise TraceSyntaxError(line_no, f"{field} {cut(tok)} is not an integer") from None
             if low is not None and v < low or high is not None and v > high:
                 raise TraceSyntaxError(line_no, f"{field} {cut(tok, False)} outside [{lo}, {hi}]")
-            args += (v,)
+            if col:
+                v2 = v
+            else:
+                v1 = v
         # the product is the header's 32-bit size field
-        if code == _ALLOC_ARRAY and args[0] * args[1] > _U32_MAX:
+        if code == _ALLOC_ARRAY and v1 * v2 > _U32_MAX:
             raise TraceSyntaxError(
-                line_no, f"count * elem_size {cut(args[0] * args[1])} outside [1, {_U32_MAX}]")
+                line_no, f"count * elem_size {cut(v1 * v2)} outside [1, {_U32_MAX}]")
         depth += scope
         if depth < 0:
             raise TraceSyntaxError(line_no, "scope_end without matching scope_begin")
         ops.append(code)
         ids.append(ix)
         ids2.append(ix2)
-        argss.append(share(args, args))
-    return Trace(rows, list(defined))
+        try:
+            f1.append(v1)
+        except OverflowError:
+            f1 = _widened(f1, v1)
+        try:
+            f2.append(v2)
+        except OverflowError:
+            f2 = _widened(f2, v2)
+    return Trace((ops, ids, ids2, f1, f2), list(defined))
 
 
 # each op's line shape for format_trace: (ids, fields, last field optional)
@@ -300,15 +317,18 @@ class TraceRuntimeError(RuntimeError):
 
 
 def _event_rows(events: Iterable[TraceEvent], names: list[str], bindings: list[int]):
-    """(index, op code, id and id2 indexes, args) of each event, made at its
-    own turn under parse_trace's rules for ops, ids and scopes; new ids join names."""
+    """(index, op code, id and id2 indexes, fields f1 and f2) of each event, made at its
+    turn under parse_trace's rules for ops, field counts, ids and scopes; new ids join names."""
     defined: dict[str, int] = {}    # each id an alloc named, to its index in names
     depth = 0
     for index, (op, name, name2, args) in enumerate(events):
         try:
-            _, code, n_ids, _, _, _, defines, scope = _ROWS[op]
+            _, code, n_ids, fewest, most, _, defines, scope = _ROWS[op]
         except KeyError:
             raise TraceRuntimeError(f"unknown operation {cut(op)}") from None
+        k = len(args)
+        if not fewest <= 1 + n_ids + k <= most:     # alloc's type_id may be left off
+            raise TraceRuntimeError(f"{op} takes {most - 1 - n_ids} fields, got {k}")
         if defines and defined.setdefault(name, len(names)) == len(names):
             names.append(name)
             bindings.append(0)
@@ -320,7 +340,7 @@ def _event_rows(events: Iterable[TraceEvent], names: list[str], bindings: list[i
         depth += scope
         if depth < 0:
             raise TraceRuntimeError("scope_end without matching scope_begin")
-        yield index, code, ix, ix2, args
+        yield index, code, ix, ix2, args[0] if k else 0, args[1] if k == 2 else 0
 
 
 def run_trace(events: Iterable[TraceEvent], config: EngineConfig | None = None) -> RunReport:
@@ -345,40 +365,40 @@ def run_trace(events: Iterable[TraceEvent], config: EngineConfig | None = None) 
     violations: list[tuple[int, str]] = []
 
     index = -1      # the loop counts the events
-    for index, op, ix, ix2, args in rows:
+    for index, op, ix, ix2, f1, f2 in rows:
         verdict: Verdict | None = None
         if op == _LOAD or op == _STORE or op == _PTR_ADD:
             base = bindings[ix]
             try:    # rebase is the one range check of the address
-                tagged = rebase(base, (base & ADDRESS_MASK) + args[0])
+                tagged = rebase(base, (base & ADDRESS_MASK) + f1)
             except TagError:
-                raise TraceRuntimeError(f"offset {cut(args[0])} moves {cut(names[ix])} "
+                raise TraceRuntimeError(f"offset {cut(f1)} moves {cut(names[ix])} "
                                         "outside the 48-bit space") from None
             if op == _PTR_ADD:
                 if config.arith_checks:
                     verdict = checker.check_arith(cursors.get(ix, base), tagged)
                 cursors[ix] = tagged
             else:
-                verdict = check_access(AccessRequest(tagged, args[1]))
+                verdict = check_access(AccessRequest(tagged, f2))
                 if verdict[0] is OK:
                     oks += 1
                     continue
         elif op == _ALLOC or op == _ALLOC_ARRAY:
             cursors.pop(ix, None)
-            bindings[ix] = (alloc if op == _ALLOC else alloc_array)(*args).tagged
+            bindings[ix] = (alloc if op == _ALLOC else alloc_array)(f1, f2).tagged
         elif op == _FREE:
             verdict = free(bindings[ix])
             if verdict[0] is OK:
                 oks += 1
                 continue
         elif op == _REALLOC:
-            verdict, record = arena.realloc(bindings[ix], args[0])
+            verdict, record = arena.realloc(bindings[ix], f1)
             if record is not None:
                 cursors.pop(ix, None)
                 bindings[ix] = record.tagged
         elif op in copy_checks:
             verdict = copy_checks[op](cursors.get(ix, bindings[ix]),
-                                      cursors.get(ix2, bindings[ix2]), args[0])
+                                      cursors.get(ix2, bindings[ix2]), f1)
         elif op == _SCOPE_BEGIN:
             arena.scope_begin()
         else:   # scope_end, the one code left

@@ -530,9 +530,24 @@ def test_a_trace_is_a_sequence_of_its_events():
         assert trace != other and other != trace
         assert not (trace == other or other == trace)
     assert trace != tuple(events) and trace != text
-    # indexing and iteration share the row's objects
+    # indexing and iteration share the row's objects, and read equal fields
     assert trace[3].id2 is trace[0].id and trace[3].id is trace[1].id
-    assert trace[4].args is list(trace)[4].args and trace[2].op is list(trace)[2].op
+    assert trace[4].args == list(trace)[4].args and trace[2].op is list(trace)[2].op
+
+
+@pytest.mark.parametrize("k", [slice(1, 4), slice(None, None, -2), slice(5, 2), slice(-2, None)],
+                         ids=["1:4", "::-2", "5:2", "-2:"])
+def test_slicing_a_trace_builds_only_the_sliced_events(k, monkeypatch):
+    trace = parse_trace("alloc a 40\nalloc b 8 7\nscope_begin\nmemcpy b a 8\n"
+                        "load a 0 8\nscope_end\nstore b -1 2\n")
+    expected = list(trace)[k]
+    built = []
+    event = harness.Trace._event
+    monkeypatch.setattr(harness.Trace, "_event",
+                        lambda self, *row: built.append(row) or event(self, *row))
+    sliced = trace[k]
+    assert sliced == expected and type(sliced) is list
+    assert len(built) == len(expected)
 
 
 def test_events_share_op_and_id_strings():
@@ -545,25 +560,33 @@ def test_events_share_op_and_id_strings():
     assert events[3].id is dst and events[3].id2 is buf
 
 
-def test_equal_fields_share_one_args_tuple():
+def test_equal_fields_read_back_as_equal_args():
     text = "alloc a 300 0\nalloc b 300\nload a 1000 4\nstore b 1000 4\n"
     events = parse_trace(text)
-    assert events[0].args is events[1].args
-    assert events[2].args is events[3].args
-    # sharing changes no event: they still equal the generated ones
+    assert events[0].args == events[1].args == (300, 0)
+    assert events[2].args == events[3].args == (1000, 4)
+    # the int columns change no event: they still equal the generated ones
     generated, _ = gen_workload(5, WorkloadParams(objects=50, accesses_per_object=8))
     parsed = parse_trace(format_trace(generated))
     assert parsed == generated
-    assert len({id(ev.args) for ev in parsed}) == len({ev.args for ev in parsed})
+    assert [ev.args for ev in parsed] == [ev.args for ev in generated]
+
+
+_SMALL_HOT = WorkloadParams(objects=2000, size_dist="uniform:8:512", accesses_per_object=32,
+                            fault_rate=0.02, edge_probe=True)
+_MIXED = WorkloadParams(objects=5000, size_dist="loguniform:1:65536", accesses_per_object=8,
+                        fault_rate=0.05, fault_kinds=("overflow", "underflow", "use_after_free",
+                                                      "double_free"),
+                        edge_probe=True, free_fraction=0.5)
 
 
 @functools.lru_cache(maxsize=None)
-def _parse_footprint(line_end: str = "\n") -> tuple[int, int, int, int]:
+def _parse_footprint(line_end: str = "\n", params: WorkloadParams = _SMALL_HOT
+                     ) -> tuple[int, int, int, int]:
     """(events, characters, bytes retained, bytes peak) of parsing the
-    text of a small_hot-shaped trace, its lines ended by line_end: 2000
-    small objects, 32 accesses each, 70,000 events in all."""
-    params = WorkloadParams(objects=2000, size_dist="uniform:8:512", accesses_per_object=32,
-                            fault_rate=0.02, edge_probe=True)
+    text of a trace of params at seed 7, its lines ended by line_end.  By
+    default it is small_hot-shaped: 2000 small objects, 32 accesses
+    each, 70,000 events in all."""
     events, _ = gen_workload(7, params)
     text = format_trace(events).replace("\n", line_end)
     del events
@@ -581,10 +604,18 @@ def _parse_footprint(line_end: str = "\n") -> tuple[int, int, int, int]:
 
 def test_parsed_events_retain_few_bytes_each():
     n, _, retained, _ = _parse_footprint()
-    # about 23 B: a row's op code, ids and args reference (17 B) and the
-    # columns' spare room; equal args tuples, and the ints past the
-    # small-int cache in them, are one object, and no event is built
-    assert retained / n < 30
+    # about 19 B: a row's op code, ids and two int32 fields (17 B) and
+    # the columns' spare room; no field is an int object, and no event
+    # is built
+    assert retained / n < 22
+
+
+def test_parsed_mixed_events_retain_few_bytes_each():
+    # the mixed benchmark workload's shape: 57,977 events with 21,924
+    # distinct args.  About 23 B: a row (17 B), the columns' spare room
+    # and 5000 id strings; distinct fields cost no more than equal ones
+    n, _, retained, _ = _parse_footprint("\n", _MIXED)
+    assert retained / n < 26
 
 
 @pytest.mark.parametrize("line_end", ["\n", "\r"])
@@ -656,6 +687,20 @@ def test_an_unbound_copy_operand_is_a_runtime_error_naming_dst_first(op, dst, sr
     assert str(e.value) == "id 'ghost' used before allocation"
 
 
+@pytest.mark.parametrize("op, args", [("load", (0,)), ("alloc", ()), ("free", (1, 2)),
+                                      ("load", (0, 4, 9))])
+def test_an_event_with_the_wrong_field_count_is_a_runtime_error(op, args):
+    n = len(_GRAMMAR[op].fields)
+    with pytest.raises(TraceRuntimeError) as e:
+        run_trace([_ALLOC_A, TraceEvent(op, "a", "", args)])
+    assert str(e.value) == f"{op} takes {n} fields, got {len(args)}"
+
+
+def test_an_alloc_event_may_leave_its_type_id_off():
+    events = [TraceEvent("alloc", "a", "", (40,)), TraceEvent("store", "a", "", (38, 4))]
+    assert run_trace(events) == run_trace(parse_trace("alloc a 40\nstore a 38 4\n"))
+
+
 def _reading(events, read):
     """A one-shot generator over events that records in read each index it yields."""
     for k, event in enumerate(events):
@@ -667,7 +712,9 @@ def _reading(events, read):
     TraceEvent("bogus"), TraceEvent("load", id="ghost", args=(0, 1)),
     TraceEvent("free", id="ghost"), TraceEvent("memcpy", "a", "ghost", (8,)),
     TraceEvent("scope_end"), TraceEvent("store", id="a", args=(1 << 48, 1)),
-], ids=["unknown_op", "unbound_load", "unbound_free", "unbound_src", "scope_end", "offset"])
+    TraceEvent("load", id="a", args=(0,)),
+], ids=["unknown_op", "unbound_load", "unbound_free", "unbound_src", "scope_end", "offset",
+        "field_count"])
 def test_an_event_iterables_error_leaves_the_events_after_it_unread(bad):
     read = []
     events = [_ALLOC_A, TraceEvent("store", id="a", args=(0, 1)), bad,
@@ -950,15 +997,20 @@ def test_run_trace_reads_any_iterable_once():
     assert run_trace(iter(())).event_count == 0
 
 
-# sizes of both frame classes, and offsets around their bounds
+# field values about the edges of the int32 and int64 columns that a
+# Trace holds fields in; a value past an edge widens its column
+_EDGES = (2 ** 31 - 1, 2 ** 31, 2 ** 32 - 1, 2 ** 63, 2 ** 70)
+# sizes of both frame classes, and offsets around their bounds and the edges
 _RUN_SIZES = st.sampled_from([1, 10, 40, 64, 500, 4096, 40000, 1 << 16, (1 << 17) + 3])
-_RUN_OFFSETS = st.one_of(st.integers(-32, 80), st.sampled_from([-(1 << 16), 1 << 15, 1 << 17]))
+_RUN_OFFSETS = st.one_of(st.integers(-32, 80), st.sampled_from(
+    [-(1 << 16), 1 << 15, 1 << 17, -2 ** 31 - 1, -2 ** 63 - 1, *_EDGES]))
 
 
 @st.composite
 def _runnable_traces(draw):
     """A valid trace over all twelve ops, with nested scopes, whose
-    sizes and offsets a default arena replays."""
+    sizes a default arena replays; an offset past the 48-bit space ends
+    its replay with a TraceRuntimeError."""
     events, ids, depth = [], [], 0
     for _ in range(draw(st.integers(0, 40))):
         ops = ["alloc", "alloc_array", "scope_begin"] + ["scope_end"] * (depth > 0)
@@ -969,7 +1021,8 @@ def _runnable_traces(draw):
         if op in ("alloc", "alloc_array"):
             ids.append(draw(st.sampled_from(ids + ["a", "b", "c", "d"])))
             size = draw(_RUN_SIZES)
-            ev = TraceEvent(op, ids[-1], args=(size, draw(st.integers(0, 2))) if op == "alloc"
+            type_id = draw(st.sampled_from((0, 1, 2) + _EDGES[:3]))
+            ev = TraceEvent(op, ids[-1], args=(size, type_id) if op == "alloc"
                             else (max(1, size // 8), 8))
         elif op in ("scope_begin", "scope_end"):
             depth += 1 if op == "scope_begin" else -1
@@ -981,11 +1034,13 @@ def _runnable_traces(draw):
             elif op == "free":
                 ev = TraceEvent(op, name)
             elif op in ("load", "store"):
-                ev = TraceEvent(op, name, args=(draw(_RUN_OFFSETS), draw(st.integers(1, 16))))
+                access = st.one_of(st.integers(1, 16), st.sampled_from(_EDGES))
+                ev = TraceEvent(op, name, args=(draw(_RUN_OFFSETS), draw(access)))
             elif op == "ptr_add":
                 ev = TraceEvent(op, name, args=(draw(_RUN_OFFSETS),))
             else:
-                ev = TraceEvent(op, name, draw(st.sampled_from(ids)), (draw(st.integers(0, 70000)),))
+                n = st.one_of(st.integers(0, 70000), st.sampled_from(_EDGES))
+                ev = TraceEvent(op, name, draw(st.sampled_from(ids)), (draw(n),))
         events.append(ev)
     return events + [TraceEvent("scope_end")] * depth
 
@@ -1010,6 +1065,52 @@ def test_a_trace_its_list_and_a_generator_over_it_replay_alike(events, arith_che
     outcome = _run_outcome(trace, config)
     assert _run_outcome(list(trace), config) == outcome
     assert _run_outcome((ev for ev in trace), config) == outcome
+
+
+_WIDE_EVENTS = [
+    TraceEvent("alloc", "a", "", (64, 0)), TraceEvent("load", "a", "", (2 ** 31 - 1, 4)),
+    TraceEvent("store", "a", "", (2 ** 31, 2 ** 31 - 1)),
+    TraceEvent("load", "a", "", (-2 ** 31 - 1, 2 ** 31)),
+    TraceEvent("alloc", "b", "", (2 ** 32 - 1, 0)), TraceEvent("alloc", "c", "", (8, 2 ** 32 - 1)),
+    TraceEvent("load", "c", "", (0, 2 ** 63)), TraceEvent("store", "b", "", (8, 2 ** 70)),
+    TraceEvent("memcpy", "a", "c", (2 ** 63,)), TraceEvent("strncpy", "c", "a", (2 ** 70,)),
+    TraceEvent("realloc", "a", "", (2 ** 31,)),
+]
+
+
+@pytest.mark.parametrize("last, error", [
+    (None, None),
+    (TraceEvent("ptr_add", "a", "", (2 ** 63,)), "offset 9223372036854775808 moves 'a'"),
+    (TraceEvent("load", "c", "", (2 ** 70, 1)), "offset 1180591620717411303424 moves 'c'"),
+], ids=["report", "2^63_offset", "2^70_offset"])
+def test_fields_past_32_and_64_bits_parse_round_trip_and_replay_alike(last, error):
+    events = _WIDE_EVENTS + [last] * (last is not None) + [TraceEvent("load", "a", "", (0, 4))]
+    text = format_trace(events)
+    trace = parse_trace(text)
+    assert trace == events and list(trace) == events and format_trace(trace) == text
+    config = EngineConfig(arena_size=1 << 33)     # room for b's 4 GiB
+    outcome = _run_outcome(trace, config)
+    assert _run_outcome(list(trace), config) == outcome
+    if error:
+        assert outcome == (TraceRuntimeError, f"{error} outside the 48-bit space")
+    else:
+        assert outcome.event_count == len(events) and outcome.verdicts["overflow"] == 4
+
+
+@pytest.mark.parametrize("line, kinds", [
+    ("load a 2147483647 2147483647", ("i", "i")), ("load a -2147483648 1", ("i", "i")),
+    ("load a -2147483649 1", ("q", "i")), ("alloc a 8 4294967295", ("i", "q")),
+    ("load a 9223372036854775807 1", ("q", "i")), ("load a -9223372036854775808 1", ("q", "i")),
+    ("load a 1 9223372036854775808", ("i", "list")),
+    ("load a -9223372036854775809 1", ("list", "i")),
+])
+def test_a_field_column_widens_only_as_far_as_its_values_need(line, kinds):
+    text = f"alloc a 8\nload a -3 4\n{line}\nstore a 1 2\n"
+    trace = parse_trace(text)
+    assert [getattr(c, "typecode", "list") for c in trace.rows[3:]] == list(kinds)
+    # the values before and after the widening value are kept
+    assert format_trace(trace) == text
+    assert [ev.args for ev in trace[:2] + trace[3:]] == [(8, 0), (-3, 4), (1, 2)]
 
 
 # -- workload generation -------------------------------------------------
