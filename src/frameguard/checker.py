@@ -6,9 +6,9 @@ record that returns, and reports any other outcome as its verdict, a
 released object as use after free.  The copy checks and
 check_memset judge each operand through it, naming it only on a violation.
 Checks never raise for bad accesses; a replay run keeps going and keeps
-only its violations, as (event index, kind), plus per-kind counts;
-nothing is kept per event.  The bounds rule for an access of s bytes at
-untagged address p with object base b and raw size z:
+per-kind counts and its violations only, each an event index and a kind
+code in two columns; nothing is kept per event.  The bounds rule for an
+access of s bytes at untagged address p with object base b and raw size z:
 
     p <  b            -> underflow (protects the header as well)
     p + s - 1 > b+z-1 -> overflow

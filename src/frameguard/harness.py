@@ -40,6 +40,7 @@ parse_trace returns a `Trace`, which holds each line as one row of ints,
 its fields in two int columns, and each id string once; indexing or
 iterating it gives `TraceEvent` named tuples (op, id, id2, args).  A str
 trace is split into lines a slice at a time, with no copy of the whole text.
+run_trace's report holds its violations in two columns in the same way.
 """
 
 from __future__ import annotations
@@ -61,6 +62,8 @@ from .tagging import TagError, rebase
 from .verdicts import OK, Verdict, VerdictKind
 
 MAX_WORKLOAD_OBJECT_SIZE = 1 << 20
+_KINDS = tuple(kind.value for kind in VerdictKind)     # a violation's kind code is its index here
+_KIND_CODES = {kind: code for code, kind in enumerate(VerdictKind)}
 
 
 class TraceSyntaxError(ValueError):
@@ -92,8 +95,9 @@ class EngineConfig:
 class RunReport:
     """Aggregated outcome of one trace run.
 
-    verdicts counts each kind; violations holds (event index, kind) for
-    the violating events only, in order.  Nothing is kept per event.
+    verdicts counts each kind; violations, a read-only sequence equal to
+    a list, holds (event index, kind) for the violating events only, in
+    order, at about 9 bytes each.  Nothing is kept per event.
     Overhead counts are cumulative over the run: one header per
     allocation performed, the payload bytes requested, and the
     footprint of division arrays actually touched.  ratio is
@@ -104,7 +108,7 @@ class RunReport:
     verdicts: dict[str, int]
     checks: dict[str, int]
     overhead: dict[str, object]
-    violations: list[tuple[int, str]]
+    violations: Sequence[tuple[int, str]]
     live_stats: dict[str, int]
 
 
@@ -163,31 +167,39 @@ def _widened(column: array, v: int) -> array | list:
     return array("q", [*column, v]) if -1 << 63 <= v < 1 << 63 else [*column, v]
 
 
-class Trace(Sequence):
-    """parse_trace's events as row columns (op codes, id and id2 indexes in names,
-    whose 0 is "", and two int field columns, see `_widened`); it equals a list of
-    equal events.  The rows have passed parse_trace's rules; replay does not check them again."""
+class _Columns(Sequence):
+    """A read-only sequence of columns whose item k, built when read, is `self._item(*(column[k]
+    for column in columns))`; it equals a list of equal items on either side of == or !=."""
 
-    def __init__(self, rows: tuple, names: list[str]):
-        self.rows, self.names = rows, names
-
-    def _event(self, op: int, i: int, i2: int, f1: int, f2: int) -> TraceEvent:
-        return tuple.__new__(TraceEvent, (_OPS[op], self.names[i], self.names[i2],
-                                          (f1, f2)[:_N_FIELDS[op]]))
+    def __init__(self, columns: tuple):
+        self.columns = columns
 
     def __len__(self) -> int:
-        return len(self.rows[0])
+        return len(self.columns[0])
 
     def __getitem__(self, k):
-        columns = [c[k] for c in self.rows]
-        return list(map(self._event, *columns)) if isinstance(k, slice) else self._event(*columns)
+        columns = [c[k] for c in self.columns]
+        return list(map(self._item, *columns)) if isinstance(k, slice) else self._item(*columns)
 
-    def __iter__(self) -> Iterator[TraceEvent]:
-        return map(self._event, *self.rows)
+    def __iter__(self) -> Iterator:
+        return map(self._item, *self.columns)
 
     def __eq__(self, other: object) -> bool:
-        return (isinstance(other, (Trace, list)) and len(self) == len(other)
+        return (isinstance(other, (_Columns, list)) and len(self) == len(other)
                 and all(a == b for a, b in zip(self, other)))
+
+
+class Trace(_Columns):
+    """parse_trace's events as row columns (op codes, id and id2 indexes in names,
+    whose 0 is "", and two int field columns, see `_widened`).
+    The rows have passed parse_trace's rules; replay does not check them again."""
+
+    def __init__(self, columns: tuple, names: list[str]):
+        self.columns, self.names = columns, names
+
+    def _item(self, op: int, i: int, i2: int, f1: int, f2: int) -> TraceEvent:
+        return tuple.__new__(TraceEvent, (_OPS[op], self.names[i], self.names[i2],
+                                          (f1, f2)[:_N_FIELDS[op]]))
 
 
 _CHUNK = 1 << 16    # about this many characters of a str trace are split at a time
@@ -343,6 +355,13 @@ def _event_rows(events: Iterable[TraceEvent], names: list[str], bindings: list[i
         yield index, code, ix, ix2, args[0] if k else 0, args[1] if k == 2 else 0
 
 
+class _Violations(_Columns):
+    """run_trace's violations: event indexes in array('q'), kind codes in a bytearray."""
+
+    def _item(self, index: int, code: int) -> tuple[int, str]:
+        return index, _KINDS[code]
+
+
 def run_trace(events: Iterable[TraceEvent], config: EngineConfig | None = None) -> RunReport:
     """Execute events from any iterable, in order; violations are data, never exceptions."""
     config = config or EngineConfig()
@@ -357,12 +376,12 @@ def run_trace(events: Iterable[TraceEvent], config: EngineConfig | None = None) 
     # bindings[i]: names[i]'s canonical tagged pointer (its object base), 0 unbound
     names = events.names if isinstance(events, Trace) else [""]
     bindings = [0] * len(names)
-    rows = (zip(count(), *events.rows) if isinstance(events, Trace)
+    rows = (zip(count(), *events.columns) if isinstance(events, Trace)
             else _event_rows(events, names, bindings))
     cursors: dict[int, int] = {}    # id index -> pointer ptr_add moved
     counts = dict.fromkeys(VerdictKind, 0)
     oks = 0     # ok verdicts of load, store and free, kept apart from counts
-    violations: list[tuple[int, str]] = []
+    indexes, codes = array("q"), bytearray()   # the violations' two columns
 
     index = -1      # the loop counts the events
     for index, op, ix, ix2, f1, f2 in rows:
@@ -408,7 +427,8 @@ def run_trace(events: Iterable[TraceEvent], config: EngineConfig | None = None) 
             kind = verdict.kind
             counts[kind] += 1
             if verdict.is_violation:
-                violations.append((index, kind.value))
+                indexes.append(index)
+                codes.append(_KIND_CODES[kind])
     counts[OK] += oks
 
     stats = arena.stats()
@@ -423,7 +443,7 @@ def run_trace(events: Iterable[TraceEvent], config: EngineConfig | None = None) 
                 "lookups_small": checker.lookups_small, "lookups_big": checker.lookups_big},
         overhead={"header_bytes": header_bytes, "table_bytes": table_bytes,
                   "payload_bytes": payload_bytes, "ratio": ratio},
-        violations=violations,
+        violations=_Violations((indexes, codes)),
         live_stats=stats,
     )
 

@@ -535,19 +535,88 @@ def test_a_trace_is_a_sequence_of_its_events():
     assert trace[4].args == list(trace)[4].args and trace[2].op is list(trace)[2].op
 
 
-@pytest.mark.parametrize("k", [slice(1, 4), slice(None, None, -2), slice(5, 2), slice(-2, None)],
-                         ids=["1:4", "::-2", "5:2", "-2:"])
+_SLICES = pytest.mark.parametrize(
+    "k", [slice(1, 4), slice(None, None, -2), slice(5, 2), slice(-2, None)],
+    ids=["1:4", "::-2", "5:2", "-2:"])
+
+
+def _assert_slice_builds_only_its_items(view, k, monkeypatch):
+    expected = list(view)[k]
+    built = []
+    item = type(view)._item
+    monkeypatch.setattr(type(view), "_item",
+                        lambda self, *row: built.append(row) or item(self, *row))
+    sliced = view[k]
+    assert sliced == expected and type(sliced) is list
+    assert len(built) == len(expected)
+
+
+@_SLICES
 def test_slicing_a_trace_builds_only_the_sliced_events(k, monkeypatch):
     trace = parse_trace("alloc a 40\nalloc b 8 7\nscope_begin\nmemcpy b a 8\n"
                         "load a 0 8\nscope_end\nstore b -1 2\n")
-    expected = list(trace)[k]
-    built = []
-    event = harness.Trace._event
-    monkeypatch.setattr(harness.Trace, "_event",
-                        lambda self, *row: built.append(row) or event(self, *row))
-    sliced = trace[k]
-    assert sliced == expected and type(sliced) is list
-    assert len(built) == len(expected)
+    _assert_slice_builds_only_its_items(trace, k, monkeypatch)
+
+
+# one violation of each kind, two overflows and two underflows
+_VIOLATING = ("alloc a 40\nstore a 40 1\nload a -1 1\nalloc b 8\nfree b\nfree b\n"
+              "load b 0 1\nstore a 100000 1\nstore a 0 4\nload a 44 2\nstore a -3 1\n")
+_VIOLATIONS = [(1, "overflow"), (2, "underflow"), (5, "double_free"), (6, "use_after_free"),
+               (7, "out_of_frame"), (9, "overflow"), (10, "underflow")]
+
+
+def test_a_reports_violations_are_a_sequence_of_pairs():
+    violations = run_trace(parse_trace(_VIOLATING)).violations
+    pairs = _VIOLATIONS
+    assert isinstance(violations, collections.abc.Sequence)
+    assert len(violations) == 7 and violations
+    assert [violations[k] for k in range(7)] == pairs == [violations[k] for k in range(-7, 0)]
+    assert violations[-1] == (10, "underflow") and violations[-7] == (1, "overflow")
+    for k in (7, -8):
+        with pytest.raises(IndexError):
+            violations[k]
+    # == and != against a list, in either order
+    assert violations == pairs and pairs == violations
+    assert not (violations != pairs or pairs != violations)
+    changed = pairs[:2] + [(5, "use_after_free")] + pairs[3:]
+    for other in (changed, pairs[:-1], pairs + pairs[-1:], []):
+        assert violations != other and other != violations
+        assert not (violations == other or other == violations)
+    assert violations != tuple(pairs) and violations != dict(pairs)
+    assert dict(violations) == dict(pairs)
+    # each kind is the plain str the report held as a list, so JSON reads alike
+    assert all(type(i) is int and type(kind) is str for i, kind in violations)
+    assert all(type(kind) is str for sliced in (violations[::-1], violations[2:]) for _, kind in sliced)
+    assert json.dumps(list(violations)) == json.dumps(pairs)
+    empty = run_trace(parse_trace("alloc a 8\nload a 0 8\n")).violations
+    assert not empty and len(empty) == 0 and empty == [] and [] == empty
+
+
+@_SLICES
+def test_slicing_violations_builds_only_the_sliced_pairs(k, monkeypatch):
+    violations = run_trace(parse_trace(_VIOLATING)).violations
+    assert list(violations)[k] == _VIOLATIONS[k]
+    _assert_slice_builds_only_its_items(violations, k, monkeypatch)
+
+
+def test_a_report_retains_few_bytes_per_violation():
+    # 12,000 violations, each in two columns: an 8 B event index and a
+    # 1 B kind code, plus the columns' spare room (a (index, kind) tuple
+    # and its index int took about 89 B)
+    n = 12_000
+    trace = parse_trace("alloc a 16\n" + "store a 16 1\nload a -1 1\n" * (n // 2))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        report = run_trace(trace)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(report.violations) == n and report.violations[-2:] == [(n - 1, "overflow"),
+                                                                      (n, "underflow")]
+    assert retained / n < 16
 
 
 def test_events_share_op_and_id_strings():
@@ -1107,7 +1176,7 @@ def test_fields_past_32_and_64_bits_parse_round_trip_and_replay_alike(last, erro
 def test_a_field_column_widens_only_as_far_as_its_values_need(line, kinds):
     text = f"alloc a 8\nload a -3 4\n{line}\nstore a 1 2\n"
     trace = parse_trace(text)
-    assert [getattr(c, "typecode", "list") for c in trace.rows[3:]] == list(kinds)
+    assert [getattr(c, "typecode", "list") for c in trace.columns[3:]] == list(kinds)
     # the values before and after the widening value are kept
     assert format_trace(trace) == text
     assert [ev.args for ev in trace[:2] + trace[3:]] == [(8, 0), (-3, 4), (1, 2)]
