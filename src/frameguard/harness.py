@@ -37,7 +37,8 @@ open scope, a realloc keeps its object's scope, and scope_end releases
 the scope's live objects, as a function epilogue vacates its locals.
 
 parse_trace returns a `Trace`, which holds each line as one row of ints,
-its fields in two int columns, and each id string once; indexing or
+each column at the narrowest width its values need (one byte until a
+value does not fit), and each id string once; indexing or
 iterating it gives `TraceEvent` named tuples (op, id, id2, args).  A str
 trace is split into lines a slice at a time, with no copy of the whole text.
 run_trace's report holds its violations in two columns in the same way.
@@ -162,9 +163,20 @@ _ROWS = {op: _compile(op, spec) for op, spec in _GRAMMAR.items()}
 _N_FIELDS = tuple(len(spec.fields) for spec in _GRAMMAR.values())    # by op code
 
 
+_WIDER = {"b": "hiq", "h": "iq", "i": "q", "B": "HIQ", "H": "IQ", "I": "Q", "q": "", "Q": ""}
+
+
 def _widened(column: array, v: int) -> array | list:
-    """column's values and v, which it cannot hold, in array('q') or, past 64 bits, a list."""
-    return array("q", [*column, v]) if -1 << 63 <= v < 1 << 63 else [*column, v]
+    """column's values and v, which it cannot hold, in the narrowest wider
+    array of column's ladder (b, h, i, q or B, H, I, Q) that holds v, or in
+    a list past 64 bits."""
+    for code in _WIDER[column.typecode]:
+        try:
+            tail = array(code, [v])
+        except OverflowError:
+            continue
+        return array(code, column) + tail
+    return [*column, v]
 
 
 class _Columns(Sequence):
@@ -188,10 +200,14 @@ class _Columns(Sequence):
         return (isinstance(other, (_Columns, list)) and len(self) == len(other)
                 and all(a == b for a, b in zip(self, other)))
 
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({list(self)!r})"
+
 
 class Trace(_Columns):
-    """parse_trace's events as row columns (op codes, id and id2 indexes in names,
-    whose 0 is "", and two int field columns, see `_widened`).
+    """parse_trace's events as row columns: op codes, id and id2 indexes in names,
+    whose 0 is "", and two int field columns.  Each column but the op codes'
+    starts one byte wide and is widened only as far as its values need (`_widened`).
     The rows have passed parse_trace's rules; replay does not check them again."""
 
     def __init__(self, columns: tuple, names: list[str]):
@@ -202,7 +218,7 @@ class Trace(_Columns):
                                           (f1, f2)[:_N_FIELDS[op]]))
 
 
-_CHUNK = 1 << 16    # about this many characters of a str trace are split at a time
+_CHUNK = 1 << 14    # about this many characters of a str trace are split at a time
 
 
 def _line_lists(text: str) -> Iterator[list[str]]:
@@ -231,9 +247,10 @@ def parse_trace(source: str | Iterable[str]) -> Trace:
     field (an integer, then in bounds), the alloc_array product and the
     scope depth.  A str is split into lines by `_line_lists`, the way a
     text-mode file splits them, with no copy of the whole text.  Each line
-    is one `Trace` row, its fields in two int columns."""
+    is one `Trace` row, its fields in two int columns; each column of ids
+    and fields starts one byte wide and is widened by `_widened`."""
     lines = chain.from_iterable(_line_lists(source)) if isinstance(source, str) else source
-    ops, ids, ids2, f1, f2 = bytearray(), array("I"), array("I"), array("i"), array("i")
+    ops, ids, ids2, f1, f2 = bytearray(), array("B"), array("B"), array("b"), array("b")
     defined = {"": 0}   # each id, in order, to its index in the Trace's names
     known = defined.setdefault
     table = _ROWS
@@ -285,8 +302,14 @@ def parse_trace(source: str | Iterable[str]) -> Trace:
         if depth < 0:
             raise TraceSyntaxError(line_no, "scope_end without matching scope_begin")
         ops.append(code)
-        ids.append(ix)
-        ids2.append(ix2)
+        try:
+            ids.append(ix)
+        except OverflowError:
+            ids = _widened(ids, ix)
+        try:
+            ids2.append(ix2)
+        except OverflowError:
+            ids2 = _widened(ids2, ix2)
         try:
             f1.append(v1)
         except OverflowError:

@@ -557,9 +557,10 @@ def test_any_gen_options_exit_0_with_a_trace_that_replays_its_manifest_or_2(argv
 
 def test_run_peaks_at_a_bounded_size_per_event(tmp_path):
     # a small_hot-shaped trace: 2000 small objects, 32 accesses each,
-    # 70,000 events.  About 48 B an event: the file's bytes and their
-    # decoded text (16 B a line each), the parsed rows and the replay,
-    # whose 5,234 violations take about 9 B each in two columns.
+    # 70,000 events.  About 37 B an event: the file's bytes and their
+    # decoded text (16 B a line each), the parsed rows at about 9 B, each
+    # column as narrow as its values, and the replay, whose 5,234
+    # violations take about 9 B each in two columns.
     params = WorkloadParams(objects=2000, size_dist="uniform:8:512", accesses_per_object=32,
                             fault_rate=0.02, edge_probe=True)
     events, _ = gen_workload(7, params)
@@ -575,4 +576,4 @@ def test_run_peaks_at_a_bounded_size_per_event(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / n < 53
+    assert peak / n < 43

@@ -592,6 +592,13 @@ def test_a_reports_violations_are_a_sequence_of_pairs():
     assert not empty and len(empty) == 0 and empty == [] and [] == empty
 
 
+def test_a_report_and_a_trace_repr_show_their_items():
+    trace = parse_trace("alloc a 8\nload a 8 1\n")
+    assert repr(trace) == ("Trace([TraceEvent(op='alloc', id='a', id2='', args=(8, 0)), "
+                           "TraceEvent(op='load', id='a', id2='', args=(8, 1))])")
+    assert "violations=_Violations([(1, 'overflow')])" in repr(run_trace(trace))
+
+
 @_SLICES
 def test_slicing_violations_builds_only_the_sliced_pairs(k, monkeypatch):
     violations = run_trace(parse_trace(_VIOLATING)).violations
@@ -673,24 +680,27 @@ def _parse_footprint(line_end: str = "\n", params: WorkloadParams = _SMALL_HOT
 
 def test_parsed_events_retain_few_bytes_each():
     n, _, retained, _ = _parse_footprint()
-    # about 19 B: a row's op code, ids and two int32 fields (17 B) and
-    # the columns' spare room; no field is an int object, and no event
-    # is built
-    assert retained / n < 22
+    # about 9 B: a row's op code (1 B), id index (2 B), id2 index (1 B),
+    # offset or size (2 B) and access size (1 B), each column as narrow as
+    # its values, the columns' spare room and 2000 id strings; no field is
+    # an int object, and no event is built.  With 4 B ids and fields it is
+    # 19 B.
+    assert retained / n < 11
 
 
 def test_parsed_mixed_events_retain_few_bytes_each():
     # the mixed benchmark workload's shape: 57,977 events with 21,924
-    # distinct args.  About 23 B: a row (17 B), the columns' spare room
-    # and 5000 id strings; distinct fields cost no more than equal ones
+    # distinct args.  About 14.5 B: a row (9 B, its sizes past 2^16 take
+    # 4 B), the columns' spare room and 5000 id strings; distinct fields
+    # cost no more than equal ones
     n, _, retained, _ = _parse_footprint("\n", _MIXED)
-    assert retained / n < 26
+    assert retained / n < 17
 
 
 @pytest.mark.parametrize("line_end", ["\n", "\r"])
 def test_parsing_a_str_copies_no_whole_text(line_end):
     _, chars, retained, peak = _parse_footprint(line_end)
-    # about 0.45 B a character: one slice and its lines at a time.  A
+    # about 0.2 B a character: one slice and its lines at a time.  A
     # text-mode copy of the whole text alone takes 4 B a character.
     assert peak - retained < chars
 
@@ -1167,11 +1177,13 @@ def test_fields_past_32_and_64_bits_parse_round_trip_and_replay_alike(last, erro
 
 
 @pytest.mark.parametrize("line, kinds", [
-    ("load a 2147483647 2147483647", ("i", "i")), ("load a -2147483648 1", ("i", "i")),
-    ("load a -2147483649 1", ("q", "i")), ("alloc a 8 4294967295", ("i", "q")),
-    ("load a 9223372036854775807 1", ("q", "i")), ("load a -9223372036854775808 1", ("q", "i")),
-    ("load a 1 9223372036854775808", ("i", "list")),
-    ("load a -9223372036854775809 1", ("list", "i")),
+    ("load a 127 1", ("b", "b")), ("load a -128 1", ("b", "b")), ("load a 128 1", ("h", "b")),
+    ("load a -129 1", ("h", "b")), ("load a 1 32767", ("b", "h")), ("load a 32768 1", ("i", "b")),
+    ("load a 2147483647 2147483647", ("i", "i")), ("load a -2147483648 1", ("i", "b")),
+    ("load a -2147483649 1", ("q", "b")), ("alloc a 8 4294967295", ("b", "q")),
+    ("load a 9223372036854775807 1", ("q", "b")), ("load a -9223372036854775808 1", ("q", "b")),
+    ("load a 1 9223372036854775808", ("b", "list")),
+    ("load a -9223372036854775809 1", ("list", "b")),
 ])
 def test_a_field_column_widens_only_as_far_as_its_values_need(line, kinds):
     text = f"alloc a 8\nload a -3 4\n{line}\nstore a 1 2\n"
@@ -1180,6 +1192,21 @@ def test_a_field_column_widens_only_as_far_as_its_values_need(line, kinds):
     # the values before and after the widening value are kept
     assert format_trace(trace) == text
     assert [ev.args for ev in trace[:2] + trace[3:]] == [(8, 0), (-3, 4), (1, 2)]
+
+
+@pytest.mark.parametrize("n, line, row, kinds", [
+    (255, "memcpy o1 o255 1", (1, 255), ("B", "B")), (256, "load o256 0 1", (256, 0), ("H", "B")),
+    (256, "memcpy o1 o256 1", (1, 256), ("H", "H")),
+])
+def test_an_id_column_widens_only_as_far_as_its_indexes_need(n, line, row, kinds):
+    # o{k}'s index is k, since index 0 is ""
+    text = "".join(f"alloc o{k} 8\n" for k in range(1, n + 1)) + f"memcpy o2 o3 4\n{line}\n"
+    trace = parse_trace(text)
+    assert [c.typecode for c in trace.columns[1:3]] == list(kinds)
+    # the indexes before the widening index are kept
+    assert format_trace(trace) == text
+    assert list(trace.columns[1]) == [*range(1, n + 1), 2, row[0]]
+    assert list(trace.columns[2]) == [0] * n + [3, row[1]]
 
 
 # -- workload generation -------------------------------------------------
