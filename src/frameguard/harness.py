@@ -38,10 +38,12 @@ the scope's live objects, as a function epilogue vacates its locals.
 
 parse_trace returns a `Trace`, which holds each line as one row of ints,
 each column at the narrowest width its values need (one byte until a
-value does not fit), and each id string once; indexing or
-iterating it gives `TraceEvent` named tuples (op, id, id2, args).  A str
-trace is split into lines a slice at a time, with no copy of the whole text.
-run_trace's report holds its violations in two columns in the same way.
+value does not fit), and each id string once; indexing or iterating it
+gives `TraceEvent` named tuples (op, id, id2, args).  A str trace is split
+a slice at a time.  `_rows` applies the rules to parse_trace's lines and
+run_trace's events alike, so run_trace refuses an event of any other
+iterable, at its turn, with the reason parse_trace gives its line.
+run_trace's report holds its violations in two columns.
 """
 
 from __future__ import annotations
@@ -146,37 +148,100 @@ _GRAMMAR = {
 _OPS = tuple(_GRAMMAR)      # a row's op code is its op's index here
 _ALLOC, _ALLOC_ARRAY, _REALLOC, _FREE, _LOAD, _STORE, _PTR_ADD, _SCOPE_BEGIN = map(_OPS.index, (
     "alloc", "alloc_array", "realloc", "free", "load", "store", "ptr_add", "scope_begin"))
-
-
-def _compile(op: str, spec: _Op) -> tuple:
-    """parse_trace's row for one op: (op, op code, ids, fewest and most
-    tokens, (token index, column 0 or 1, name, lowest, highest, each bound
-    as int or None if infinite) for each field, defines, scope)."""
-    n_ids, fields, optional, defines, scope = spec
-    most = 1 + n_ids + len(fields)
-    checks = tuple((1 + n_ids + col, col, name, lo, hi, None if lo == -math.inf else lo,
-                    None if hi == math.inf else hi) for col, (name, lo, hi) in enumerate(fields))
-    return op, _OPS.index(op), n_ids, most - optional, most, checks, defines, scope
-
-
-_ROWS = {op: _compile(op, spec) for op, spec in _GRAMMAR.items()}
 _N_FIELDS = tuple(len(spec.fields) for spec in _GRAMMAR.values())    # by op code
 
 
-_WIDER = {"b": "hiq", "h": "iq", "i": "q", "B": "HIQ", "H": "IQ", "I": "Q", "q": "", "Q": ""}
-
-
-def _widened(column: array, v: int) -> array | list:
-    """column's values and v, which it cannot hold, in the narrowest wider
-    array of column's ladder (b, h, i, q or B, H, I, Q) that holds v, or in
-    a list past 64 bits."""
-    for code in _WIDER[column.typecode]:
+def _rows(records: Iterable, line: bool, refused, names: list[str], columns: list | None = None):
+    """The trace rules, stated once, over lines of text if line, else over
+    TraceEvents: each becomes the row (label, its line number or event
+    index; op code; id and id2 indexes in names, which gains each new id;
+    fields f1 and f2, 0 where the op has none), or raises refused(label,
+    reason) at its first failed check: the op, the argument count, each
+    used id (dst before src), each field (an int, or a token int(tok, 0)
+    reads, then in bounds), the alloc_array product, the scope depth.  So
+    an event gets its line's reason.  Rows are appended to columns, if
+    given, through `_widened`; else each is yielded at its record's turn."""
+    table = {}      # each op's entry, compiled from `_GRAMMAR` for this form
+    for code, (op, (n_ids, fields, optional, defines, scope)) in enumerate(_GRAMMAR.items()):
+        first = 1 + n_ids if line else 0       # where the fields start, in tokens or in args
+        checks = tuple((first + col, col, name, lo, hi, None if lo == -math.inf else lo,
+                        None if hi == math.inf else hi) for col, (name, lo, hi) in enumerate(fields))
+        most = first + len(fields)
+        table[op] = code, n_ids, most - optional, most, n_ids - first, checks, defines, scope
+    defined, depth = {}, 0      # each id to its index in names; the scope depth
+    ops, ids, ids2, f1, f2 = columns or (None,) * 5
+    for label, record in enumerate(records, 1 if line else 0):
+        if line:
+            if "#" in record:
+                record = record.split("#", 1)[0]
+            record = fields = record.split()
+            if not record:
+                continue
+        else:
+            fields = record[3]
         try:
-            tail = array(code, [v])
-        except OverflowError:
+            code, n_ids, fewest, most, shift, checks, defines, scope = table[record[0]]
+        except KeyError:
+            raise refused(label, f"unknown operation {cut(record[0])}") from None
+        if len(fields) != most:
+            if len(fields) != fewest:
+                raise refused(label, f"{record[0]} takes {fewest + shift}..{most + shift} "
+                                     f"arguments, got {len(fields) + shift}")
+            checks = checks[:-1]    # the optional field, left off, reads as 0
+        if defines and record[1] not in defined:
+            defined[record[1]] = len(names)
+            names.append(record[1])
+        try:    # dst before src
+            ix = defined[record[1]] if n_ids else 0
+            ix2 = defined[record[2]] if n_ids == 2 else 0
+        except KeyError as e:
+            raise refused(label, f"undefined id {cut(e.args[0])}") from None
+        v1 = v2 = 0
+        for i, col, field, lo, hi, low, high in checks:
+            v = tok = fields[i]
+            if line or v.__class__ is not int:     # a line's fields are all tokens
+                try:
+                    v = int(tok, 0)
+                except (TypeError, ValueError):
+                    raise refused(label, f"{field} {cut(str(tok))} is not an integer") from None
+            if low is not None and v < low or high is not None and v > high:
+                raise refused(label, f"{field} {cut(tok, False)} outside [{lo}, {hi}]")
+            if col:
+                v2 = v
+            else:
+                v1 = v
+        # the product is the header's 32-bit size field
+        if code == _ALLOC_ARRAY and v1 * v2 > _U32_MAX:
+            raise refused(label, f"count * elem_size {cut(v1 * v2)} outside [1, {_U32_MAX}]")
+        depth += scope
+        if depth < 0:
+            raise refused(label, "scope_end without matching scope_begin")
+        if columns is None:
+            yield label, code, ix, ix2, v1, v2
             continue
-        return array(code, column) + tail
-    return [*column, v]
+        try:
+            ops.append(code)
+            ids.append(ix)
+            ids2.append(ix2)
+            f1.append(v1)
+            f2.append(v2)
+        except OverflowError:
+            ops, ids, ids2, f1, f2 = _widened(columns, (code, ix, ix2, v1, v2))
+
+
+def _widened(columns: list, row: tuple) -> list:
+    """columns with row appended, once its append stopped at an OverflowError:
+    each column shorter than the op codes takes its value, moved as far up
+    its ladder (b, h, i, q or B, H, I, Q, then a list) as it must be."""
+    wider = {"b": "h", "h": "i", "i": "q", "B": "H", "H": "I", "I": "Q"}
+    for k, v in enumerate(row):
+        while len(columns[k]) < len(columns[0]):
+            try:
+                columns[k].append(v)
+            except OverflowError:
+                code = wider.get(columns[k].typecode)
+                columns[k] = array(code, columns[k]) if code else list(columns[k])
+    return columns
 
 
 class _Columns(Sequence):
@@ -208,7 +273,7 @@ class Trace(_Columns):
     """parse_trace's events as row columns: op codes, id and id2 indexes in names,
     whose 0 is "", and two int field columns.  Each column but the op codes'
     starts one byte wide and is widened only as far as its values need (`_widened`).
-    The rows have passed parse_trace's rules; replay does not check them again."""
+    The rows have passed `_rows`'s checks; replay does not check them again."""
 
     def __init__(self, columns: tuple, names: list[str]):
         self.columns, self.names = columns, names
@@ -241,84 +306,14 @@ def _line_lists(text: str) -> Iterator[list[str]]:
 
 
 def parse_trace(source: str | Iterable[str]) -> Trace:
-    """Parse trace text into events, each line checked once against
-    `_ROWS`.  A refused line raises TraceSyntaxError at its first failed
-    check, in this order: the op, the argument count, each used id, each
-    field (an integer, then in bounds), the alloc_array product and the
-    scope depth.  A str is split into lines by `_line_lists`, the way a
-    text-mode file splits them, with no copy of the whole text.  Each line
-    is one `Trace` row, its fields in two int columns; each column of ids
-    and fields starts one byte wide and is widened by `_widened`."""
+    """Parse trace text into events, each line made into a `Trace` row, or
+    refused with TraceSyntaxError, by `_rows`.  A str is split into lines
+    by `_line_lists`, the way a text-mode file splits them, with no copy of
+    the whole text.  Each column of ids and fields starts one byte wide."""
     lines = chain.from_iterable(_line_lists(source)) if isinstance(source, str) else source
-    ops, ids, ids2, f1, f2 = bytearray(), array("B"), array("B"), array("b"), array("b")
-    defined = {"": 0}   # each id, in order, to its index in the Trace's names
-    known = defined.setdefault
-    table = _ROWS
-    depth = 0
-    for line_no, line in enumerate(lines, start=1):
-        if "#" in line:
-            line = line.split("#", 1)[0]
-        toks = line.split()
-        if not toks:
-            continue
-        try:
-            op, code, n_ids, fewest, most, fields, defines, scope = table[toks[0]]
-        except KeyError:
-            raise TraceSyntaxError(line_no, f"unknown operation {cut(toks[0])}") from None
-        n = len(toks)
-        if n != most:
-            if n != fewest:
-                raise TraceSyntaxError(
-                    line_no, f"{op} takes {fewest - 1}..{most - 1} arguments, got {n - 1}")
-            toks.append("0")    # the optional field, left off, reads as 0
-        try:
-            if not n_ids:
-                ix = ix2 = 0
-            elif defines:
-                ix, ix2 = known(toks[1], len(defined)), 0
-            else:
-                ix = defined[toks[1]]
-                ix2 = defined[toks[2]] if n_ids == 2 else 0
-        except KeyError as e:
-            raise TraceSyntaxError(line_no, f"undefined id {cut(e.args[0])}") from None
-        v1 = v2 = 0     # an unused column reads 0
-        for i, col, field, lo, hi, low, high in fields:
-            tok = toks[i]
-            try:
-                v = int(tok, 0)
-            except ValueError:
-                raise TraceSyntaxError(line_no, f"{field} {cut(tok)} is not an integer") from None
-            if low is not None and v < low or high is not None and v > high:
-                raise TraceSyntaxError(line_no, f"{field} {cut(tok, False)} outside [{lo}, {hi}]")
-            if col:
-                v2 = v
-            else:
-                v1 = v
-        # the product is the header's 32-bit size field
-        if code == _ALLOC_ARRAY and v1 * v2 > _U32_MAX:
-            raise TraceSyntaxError(
-                line_no, f"count * elem_size {cut(v1 * v2)} outside [1, {_U32_MAX}]")
-        depth += scope
-        if depth < 0:
-            raise TraceSyntaxError(line_no, "scope_end without matching scope_begin")
-        ops.append(code)
-        try:
-            ids.append(ix)
-        except OverflowError:
-            ids = _widened(ids, ix)
-        try:
-            ids2.append(ix2)
-        except OverflowError:
-            ids2 = _widened(ids2, ix2)
-        try:
-            f1.append(v1)
-        except OverflowError:
-            f1 = _widened(f1, v1)
-        try:
-            f2.append(v2)
-        except OverflowError:
-            f2 = _widened(f2, v2)
-    return Trace((ops, ids, ids2, f1, f2), list(defined))
+    names, columns = [""], [bytearray(), array("B"), array("B"), array("b"), array("b")]
+    next(_rows(lines, True, TraceSyntaxError, names, columns), None)   # it yields no row
+    return Trace(tuple(columns), names)
 
 
 # each op's line shape for format_trace: (ids, fields, last field optional)
@@ -334,7 +329,7 @@ def format_trace(events: Sequence[TraceEvent]) -> str:
     for op, name, name2, args in events:
         n_ids, n, optional = _SHAPES[op]
         if len(args) != n:
-            raise TypeError(f"{op} takes {n} fields, got {len(args)}")
+            raise TypeError(f"{op} takes {n} args, got {len(args)}")
         if n == 2:      # an optional field that is 0 is left off
             append(f"{op} {name} {args[0]} {args[1]}" if args[1] or not optional
                    else f"{op} {name} {args[0]}")
@@ -348,34 +343,7 @@ def format_trace(events: Sequence[TraceEvent]) -> str:
 # -- execution ---------------------------------------------------------
 
 class TraceRuntimeError(RuntimeError):
-    """A trace event could not be executed (unknown id, bad address)."""
-
-
-def _event_rows(events: Iterable[TraceEvent], names: list[str], bindings: list[int]):
-    """(index, op code, id and id2 indexes, fields f1 and f2) of each event, made at its
-    turn under parse_trace's rules for ops, field counts, ids and scopes; new ids join names."""
-    defined: dict[str, int] = {}    # each id an alloc named, to its index in names
-    depth = 0
-    for index, (op, name, name2, args) in enumerate(events):
-        try:
-            _, code, n_ids, fewest, most, _, defines, scope = _ROWS[op]
-        except KeyError:
-            raise TraceRuntimeError(f"unknown operation {cut(op)}") from None
-        k = len(args)
-        if not fewest <= 1 + n_ids + k <= most:     # alloc's type_id may be left off
-            raise TraceRuntimeError(f"{op} takes {most - 1 - n_ids} fields, got {k}")
-        if defines and defined.setdefault(name, len(names)) == len(names):
-            names.append(name)
-            bindings.append(0)
-        try:    # only the ids the op uses, dst before src
-            ix = defined[name] if n_ids else 0
-            ix2 = defined[name2] if n_ids == 2 else 0
-        except KeyError as e:
-            raise TraceRuntimeError(f"id {cut(e.args[0])} used before allocation") from None
-        depth += scope
-        if depth < 0:
-            raise TraceRuntimeError("scope_end without matching scope_begin")
-        yield index, code, ix, ix2, args[0] if k else 0, args[1] if k == 2 else 0
+    """A trace event broke a trace rule or could not be executed."""
 
 
 class _Violations(_Columns):
@@ -386,7 +354,8 @@ class _Violations(_Columns):
 
 
 def run_trace(events: Iterable[TraceEvent], config: EngineConfig | None = None) -> RunReport:
-    """Execute events from any iterable, in order; violations are data, never exceptions."""
+    """Execute events from any iterable, in order; violations are data, never exceptions.
+    An iterable other than a `Trace` is read an event at a time, checked by `_rows`."""
     config = config or EngineConfig()
     rng = random.Random(config.placement_seed) if config.placement_jitter else None
     arena = Arena(base=config.arena_base, size=config.arena_size, pad_bytes=config.pad_bytes,
@@ -396,11 +365,10 @@ def run_trace(events: Iterable[TraceEvent], config: EngineConfig | None = None) 
     alloc, alloc_array, free = arena.alloc, arena.alloc_array, arena.free
     copy_checks = {_OPS.index(op): getattr(checker, "check_" + op)
                    for op in ("memcpy", "strcpy", "strncpy")}
-    # bindings[i]: names[i]'s canonical tagged pointer (its object base), 0 unbound
     names = events.names if isinstance(events, Trace) else [""]
-    bindings = [0] * len(names)
-    rows = (zip(count(), *events.columns) if isinstance(events, Trace)
-            else _event_rows(events, names, bindings))
+    rows = (zip(count(), *events.columns) if isinstance(events, Trace)  # else checked as read
+            else _rows(events, False, lambda index, reason: TraceRuntimeError(reason), names))
+    bindings = [0] * len(names)     # names[i]'s canonical tagged pointer (its object base)
     cursors: dict[int, int] = {}    # id index -> pointer ptr_add moved
     counts = dict.fromkeys(VerdictKind, 0)
     oks = 0     # ok verdicts of load, store and free, kept apart from counts
@@ -427,6 +395,8 @@ def run_trace(events: Iterable[TraceEvent], config: EngineConfig | None = None) 
                     continue
         elif op == _ALLOC or op == _ALLOC_ARRAY:
             cursors.pop(ix, None)
+            if ix == len(bindings):     # an id an event iterable defines
+                bindings.append(0)
             bindings[ix] = (alloc if op == _ALLOC else alloc_array)(f1, f2).tagged
         elif op == _FREE:
             verdict = free(bindings[ix])

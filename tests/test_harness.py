@@ -17,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from frameguard import harness
+from frameguard.arena import Arena
 from frameguard.harness import (
     _GRAMMAR,
     EngineConfig,
@@ -750,8 +751,9 @@ def test_far_big_access_is_judged_against_the_frames_live_owner():
 def test_unbound_id_is_a_runtime_error_naming_it(op, args):
     # parse_trace refuses such a line, so the events are built by hand
     events = [TraceEvent("alloc", id="a", args=(40, 0)), TraceEvent(op, id="ghost", args=args)]
-    with pytest.raises(TraceRuntimeError, match="id 'ghost' used before allocation"):
+    with pytest.raises(TraceRuntimeError) as e:
         run_trace(events)
+    assert str(e.value) == "undefined id 'ghost'"
 
 
 _ALLOC_A = TraceEvent("alloc", id="a", args=(40, 0))
@@ -763,16 +765,17 @@ _ALLOC_A = TraceEvent("alloc", id="a", args=(40, 0))
 def test_an_unbound_copy_operand_is_a_runtime_error_naming_dst_first(op, dst, src):
     with pytest.raises(TraceRuntimeError) as e:
         run_trace([_ALLOC_A, TraceEvent(op, dst, src, (8,))])
-    assert str(e.value) == "id 'ghost' used before allocation"
+    assert str(e.value) == "undefined id 'ghost'"
 
 
 @pytest.mark.parametrize("op, args", [("load", (0,)), ("alloc", ()), ("free", (1, 2)),
                                       ("load", (0, 4, 9))])
 def test_an_event_with_the_wrong_field_count_is_a_runtime_error(op, args):
-    n = len(_GRAMMAR[op].fields)
+    # counted as its line's arguments are, the id with the fields
     with pytest.raises(TraceRuntimeError) as e:
         run_trace([_ALLOC_A, TraceEvent(op, "a", "", args)])
-    assert str(e.value) == f"{op} takes {n} fields, got {len(args)}"
+    takes = {"load": "3..3", "alloc": "2..3", "free": "1..1"}[op]
+    assert str(e.value) == f"{op} takes {takes} arguments, got {1 + len(args)}"
 
 
 def test_an_alloc_event_may_leave_its_type_id_off():
@@ -817,6 +820,56 @@ def test_an_event_iterables_first_error_wins_at_its_turn(events, turn, message):
         run_trace(_reading(events, read))
     assert str(e.value) == message
     assert read == list(range(turn + 1))
+
+
+# ints from a few digits to under 4,300, so a field is in its bounds,
+# just out of them, or past them by far
+_event_ints = st.one_of(st.integers(1, 64), st.integers(1, 64), st.integers(-2, 70000),
+                        st.integers(-10 ** 4299, 10 ** 4299))
+
+
+@st.composite
+def _any_events(draw):
+    """An event of any op, usually one that allocates, with any field
+    count, usually its op's, and ids of one token each."""
+    op = draw(st.sampled_from(["alloc"] * 4 + ["alloc_array"] * 2 + [*_GRAMMAR, "bogus"]))
+    n = len(_GRAMMAR[op].fields) if op in _GRAMMAR else 0
+    k = draw(st.sampled_from([n] * 12 + [0, 1, 2, 3]))
+    args = draw(st.lists(_event_ints, min_size=k, max_size=k))
+    ids = st.sampled_from(["a", "b"])
+    return TraceEvent(op, draw(ids), draw(ids), tuple(args))
+
+
+def _event_line(event):
+    """event as trace text: its op, the ids its op takes, then its args."""
+    n_ids = _GRAMMAR[event.op].ids if event.op in _GRAMMAR else 1
+    return " ".join([event.op, *(event.id, event.id2)[:n_ids], *map(str, event.args)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_any_events(), max_size=10))
+def test_an_event_is_refused_with_the_reason_of_its_line(events):
+    events = [_ALLOC_A, *events]    # so that most lists get past their first event
+    lines = [_event_line(event) for event in events]
+    expected = trace_refusal_oracle(lines)
+    turn = expected[0] - 1 if expected else len(events)
+    config = EngineConfig(arena_size=1 << 40)   # room for every alloc the rules let by
+    try:    # the events before the refused one, replayed from their text
+        run_trace(parse_trace(lines[:turn]), config)
+        first_error = None
+    except TraceRuntimeError as e:
+        first_error = str(e)    # an offset past the 48-bit space comes first
+    read = []
+    try:
+        outcome = run_trace(_reading(events, read), config)
+    except TraceRuntimeError as e:
+        outcome = str(e), read[-1]  # read holds 0 to read[-1]: the events after it are unread
+    if first_error:
+        assert outcome[0] == first_error and outcome[1] < turn
+    elif expected:
+        assert outcome == (expected[1], turn)
+    else:
+        assert outcome == run_trace(parse_trace(lines), config)
 
 
 @pytest.mark.parametrize("name, offset, shown", [
@@ -914,9 +967,19 @@ def test_rebinding_an_id_resets_its_cursor(rebind):
     # long operands are cut, and an int too long for a decimal string is shown
     (TraceEvent("x" * 5000), f"unknown operation '{'x' * 40}'... (5000 characters)"),
     (TraceEvent("load", id="x" * 5000, args=(0, 1)),
-     f"id '{'x' * 40}'... (5000 characters) used before allocation"),
+     f"undefined id '{'x' * 40}'... (5000 characters)"),
     (TraceEvent("load", id="a", args=(10 ** 5000, 1)),
      f"offset 1{'0' * 39}... (5001 characters) moves 'a' outside the 48-bit space"),
+    # a field that is no int, or out of its bounds, gets its line's reason
+    (TraceEvent("alloc", id="b", args=(40.5, 0)), "size '40.5' is not an integer"),
+    (TraceEvent("alloc", id="b", args=(None, 0)), "size 'None' is not an integer"),
+    (TraceEvent("load", id="a", args=(0, None)), "access_size 'None' is not an integer"),
+    (TraceEvent("load", id="a", args=(0, 0)), "access_size 0 outside [1, inf]"),
+    (TraceEvent("alloc", id="b", args=(0, 0)), "size 0 outside [1, 4294967295]"),
+    (TraceEvent("alloc", id="b", args=(8, 1 << 32)),
+     "type_id 4294967296 outside [0, 4294967295]"),
+    (TraceEvent("alloc_array", id="b", args=(70000, 70000)),
+     "count * elem_size 4900000000 outside [1, 4294967295]"),
 ])
 def test_events_parse_trace_refuses_are_runtime_errors(event, message):
     # parse_trace refuses such a line, so the event is built by hand
@@ -928,17 +991,18 @@ def test_events_parse_trace_refuses_are_runtime_errors(event, message):
 _HUGE_SIZE = f"header size 1{'0' * 39}... (5001 characters) not a 32-bit value"
 
 
-@pytest.mark.parametrize("event, message", [
-    (TraceEvent("alloc", id="b", args=(10 ** 5000, 0)), _HUGE_SIZE),
-    (TraceEvent("alloc", id="b", args=(8, 10 ** 5000)),
+@pytest.mark.parametrize("call, message", [
+    (lambda arena: arena.alloc(10 ** 5000), _HUGE_SIZE),
+    (lambda arena: arena.alloc(8, 10 ** 5000),
      f"type id 1{'0' * 39}... (5001 characters) not a 32-bit value"),
-    (TraceEvent("alloc_array", id="b", args=(10 ** 5000, 1)), _HUGE_SIZE),
-    (TraceEvent("realloc", id="a", args=(10 ** 5000,)), _HUGE_SIZE),
+    (lambda arena: arena.alloc_array(10 ** 5000, 1), _HUGE_SIZE),
+    (lambda arena: arena.realloc(arena.alloc(40).tagged, 10 ** 5000), _HUGE_SIZE),
 ], ids=["alloc", "alloc_type_id", "alloc_array", "realloc"])
-def test_arena_refuses_a_huge_size_with_a_bounded_message(event, message):
-    # parse_trace bounds these fields, so the event is built by hand
+def test_arena_refuses_a_huge_size_with_a_bounded_message(call, message):
+    # run_trace refuses such a field before the arena sees it, so the
+    # arena is called directly
     with pytest.raises(ValueError) as e:
-        run_trace([TraceEvent("alloc", id="a", args=(40, 0)), event])
+        call(Arena())
     assert str(e.value) == message
 
 
