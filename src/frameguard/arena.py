@@ -13,23 +13,23 @@ Placement is a 16-aligned bump cursor, optionally with randomized gaps
 to exercise arbitrary object arrangements; one private step,
 _register, places, frames, tags and records an allocation, moving the
 cursor last so a refused one leaves no trace.  It is the only code that
-mints a tag.  Addresses are never reused.  A new record joins the
-innermost open lexical scope, a moved one its old record's scope, and
-release takes it out, so an open scope holds only live records.
+mints a tag.  Addresses are never reused.  A new allocation joins the
+innermost open lexical scope, a moved one its old allocation's scope,
+and release takes it out, so an open scope holds only live ones.
 
-Each allocation has one AllocationRecord, keyed by its header address
-in the only record store; the record holds what the header bytes hold
-(raw size and type id), its frame's log-size n and its table key, and
-derives its header address from the object base.  Release clears the
-header for both frame classes, so a freed object keeps no record: a
-big-framed release vacates its division-table entry and drops the
-record, and a small-framed one leaves None at its header address, a
-cleared header that slot arithmetic still finds, as a heap poisoned on
-free would.  Arena.stats reads running totals that allocation and
-release keep, not the store.  Arena.lookup is the one place a
-pointer's outcome is decided, and its docstring states that outcome;
-the checker and the deallocation paths read it as it is, and _refusal
-writes the verdict that refuses a deallocation.
+Allocation state is one store of typed columns indexed by id, ids
+counting allocations from 1 (the columns start at the first, row 0
+unused): raw size and type id in array('I'), tagged pointer and table
+key in array('Q'), frame log n in a bytearray, open scope in a list.
+_by_header maps each header address to its id.  Release clears the
+header for both frame classes: a big-framed release vacates its
+division-table entry and drops the address, and a small-framed one
+leaves id 0 there, a cleared header that slot arithmetic still finds,
+as a heap poisoned on free would.  An AllocationRecord is a value built
+from a row on request.  Arena.stats reads running totals.  _resolve is
+the one place a pointer's outcome is decided; Arena.lookup, the checker
+and the deallocation paths read it as it is, and _refusal writes the
+verdict that refuses a deallocation.
 metadata.check_header_fields states the header size rule once for
 alloc, alloc_array and realloc.
 
@@ -41,7 +41,8 @@ reserved for misuse of the API itself and for arena exhaustion.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from array import array
+from typing import NamedTuple
 
 from .frame_math import ADDRESS_MASK, SLOT_BITS, SLOT_SIZE, WrapperFrame, wrapper_frame
 from .metadata import HEADER_SIZE, ArenaRangeError, DivisionTable, check_header_fields
@@ -55,22 +56,19 @@ DEFAULT_ARENA_SIZE = 1 << 28
 DEFAULT_PAD_BYTES = 1                 # FRAMER's fake padding: one-past-end pointers resolve
 
 _new = tuple.__new__    # builds a named tuple without its Python-level __new__
-_NO_HEADER = object()   # what the store answers for an address that holds no header
 
 
 class ArenaExhausted(RuntimeError):
     """The bump cursor ran past the end of the arena."""
 
 
-@dataclass(slots=True, eq=False)    # one allocation each: equal only to itself
-class AllocationRecord:
-    """Bookkeeping for one allocation, live or dead.
+class AllocationRecord(NamedTuple):
+    """One allocation's row when the record was built: a value, equal by its fields.
 
     key is the division-table key set_entry returned for a big-framed
-    record, and 0 for a small-framed one (0 is also a real key, so n,
-    not key, tells the classes apart).  The header address is derived:
-    it always sits HEADER_SIZE bytes below the object base.  live is a
-    flag for callers; the arena judges liveness from its store alone.
+    allocation, and 0 for a small-framed one (0 is also a real key, so
+    n, not key, tells the classes apart).  The header address is
+    derived: it always sits HEADER_SIZE bytes below the object base.
     """
 
     id: int
@@ -79,9 +77,7 @@ class AllocationRecord:
     raw_size: int
     n: int          # log2 of the wrapper frame size
     tagged: int
-    type_id: int = 0
-    live: bool = True
-    scope: dict[int, AllocationRecord] | None = None    # its open scope until release, or None
+    type_id: int
 
     @property
     def header_addr(self) -> int:
@@ -98,9 +94,9 @@ class AllocationRecord:
         return self.n <= SLOT_BITS
 
 
-def _refusal(found: VerdictKind | None, tagged: int) -> Verdict:
-    """The verdict refusing a deallocation that lookup found no live
-    record for: double free once the object was released, else its kind."""
+def _refusal(found: VerdictKind | int, tagged: int) -> Verdict:
+    """The verdict refusing a deallocation that _resolve found no live
+    allocation for: double free once the object was released, else its kind."""
     return _new(Verdict, (found or DOUBLE_FREE, tagged & ADDRESS_MASK, None, None))
 
 
@@ -127,16 +123,16 @@ class Arena:
         self._rng = rng
         self._cursor = base
         # header addresses are never reused, so insertion order is
-        # allocation order; a released small-framed record leaves None
-        self._by_header: dict[int, AllocationRecord | None] = {}
-        # running totals for stats(); ids number the allocations from 1
-        self._allocations = self._payload = self._live = 0
-        self._scopes: list[dict[int, AllocationRecord]] = []    # open scopes, innermost last
+        # allocation order; a released small-framed header holds id 0
+        self._by_header: dict[int, int] = {}
+        # running totals for stats(); the last is also the last id
+        self._payload = self._live = self._allocations = 0
+        self._scopes: list[dict[int, None]] = []    # open scopes' live ids, innermost last
 
     # -- placement ----------------------------------------------------
 
     def _register(self, raw_size: int, total_bytes: int, type_id: int,
-                  scope: dict[int, AllocationRecord] | None) -> AllocationRecord:
+                  scope: dict[int, None] | None) -> AllocationRecord:
         """Place total_bytes at the cursor, then frame, tag and record
         the allocation; the cursor moves only once nothing refused it.
         The table keeps obj_base inside the 48-bit space, a small frame
@@ -158,15 +154,28 @@ class Arena:
             key = self.table.set_entry(obj_base, n, header_addr)
             tagged = n << TAG_SHIFT | obj_base
         self._cursor = end
-        self._allocations += 1
+        alloc_id = self._allocations = self._allocations + 1
+        if alloc_id == 1:
+            self._raw_size, self._type_id, self._tagged, self._key = map(array, "IIQQ", [(0,)] * 4)
+            self._n, self._scope = bytearray(1), [None]
         self._payload += raw_size
         self._live += 1
-        record = AllocationRecord(self._allocations, key, obj_base, raw_size,
-                                  n, tagged, type_id, True, scope)
-        self._by_header[header_addr] = record
+        self._raw_size.append(raw_size)
+        self._type_id.append(type_id)
+        self._tagged.append(tagged)
+        self._key.append(key)
+        self._n.append(n)
+        self._scope.append(scope)
+        self._by_header[header_addr] = alloc_id
         if scope is not None:
-            scope[header_addr] = record
-        return record
+            scope[alloc_id] = None
+        return _new(AllocationRecord, (alloc_id, key, obj_base, raw_size, n, tagged, type_id))
+
+    def _record(self, alloc_id: int) -> AllocationRecord:
+        tagged = self._tagged[alloc_id]
+        return _new(AllocationRecord, (alloc_id, self._key[alloc_id], tagged & ADDRESS_MASK,
+                                       self._raw_size[alloc_id], self._n[alloc_id], tagged,
+                                       self._type_id[alloc_id]))
 
     # -- lifecycle ----------------------------------------------------
 
@@ -206,74 +215,80 @@ class Arena:
         hold raises before the pointer is judged.
         """
         check_header_fields(new_size)
-        old = self.lookup(tagged)
-        if not isinstance(old, AllocationRecord):
-            return _refusal(old, tagged), None
-        new = self._register(new_size, HEADER_SIZE + new_size, old.type_id, old.scope)
+        found = self._resolve(tagged)
+        if found.__class__ is not int or not found:
+            return _refusal(found, tagged), None
+        new = self._register(new_size, HEADER_SIZE + new_size, self._type_id[found],
+                             self._scope[found])
         # payload would be copied up to min(old, new) here; contents are
         # not modelled, only geometry and metadata
-        self._release(old)
+        self._release(found)
         return _new(Verdict, (OK, new.obj_base, new.id, None)), new
 
     def free(self, tagged: int) -> Verdict:
         """Release through the hidden base (the header address); a
         vacated entry or a cleared header is the double-free signal."""
-        record = self.lookup(tagged)
-        if not isinstance(record, AllocationRecord):
-            return _refusal(record, tagged)
-        self._release(record)
-        return _new(Verdict, (OK, tagged & ADDRESS_MASK, record.id, None))
+        found = self._resolve(tagged)
+        if found.__class__ is not int or not found:
+            return _refusal(found, tagged)
+        self._release(found)
+        return _new(Verdict, (OK, tagged & ADDRESS_MASK, found, None))
 
     def scope_begin(self) -> None:
         """Open an empty scope inside the open ones; it is innermost until its scope_end."""
         self._scopes.append({})
 
     def scope_end(self) -> None:
-        """Close the innermost scope, releasing the live records it holds; IndexError if none."""
-        for record in list(self._scopes.pop().values()):
-            self._release(record)
+        """Close the innermost scope, releasing the live allocations it holds; IndexError if none."""
+        for alloc_id in list(self._scopes.pop()):
+            self._release(alloc_id)
 
     # -- resolution ---------------------------------------------------
 
-    def lookup(self, tagged: int) -> AllocationRecord | VerdictKind | None:
+    def _resolve(self, tagged: int) -> int | VerdictKind:
         """What a pointer resolves to, by the header its tag names.
 
         UNTRACKED for a plain address; OUT_OF_FRAME when the pointer left
-        its wrapper frame; otherwise the live record at the resolved
-        header, or None once its object was released, for either frame
-        class.  Every check and deallocation reads this one answer.
+        its wrapper frame; otherwise the id of the live allocation at the
+        resolved header, or 0 once its object was released, for either
+        frame class.  Every lookup, check and deallocation reads it.
         """
         if not tagged >> TAG_SHIFT:
             return UNTRACKED
         try:
-            record = self._by_header.get(self.table.header_lookup(tagged), _NO_HEADER)
+            alloc_id = self._by_header.get(self.table.header_lookup(tagged))
         except ArenaRangeError:
             # the frame holds no arena byte
             return OUT_OF_FRAME
-        if record is _NO_HEADER:
+        if alloc_id is None:
             # a vacated entry, or a small-framed pointer out of its slot:
             # anywhere in it the slot arithmetic finds a header, live or cleared
-            return OUT_OF_FRAME if tagged >> 63 else None
-        return record
+            return OUT_OF_FRAME if tagged >> 63 else 0
+        return alloc_id
 
-    def _release(self, record: AllocationRecord) -> None:
-        """Clear the header: a big frame's entry and record go; a small header holds None."""
-        header_addr = record.obj_base - HEADER_SIZE
-        if record.n > SLOT_BITS:
-            self.table.reset_entry(record.key)
+    def lookup(self, tagged: int) -> AllocationRecord | VerdictKind | None:
+        """_resolve's answer, with the live allocation's record for an id and None for 0."""
+        found = self._resolve(tagged)
+        return self._record(found) if found.__class__ is int and found else found or None
+
+    def _release(self, alloc_id: int) -> None:
+        """Clear the header: a big frame's entry and address go; a small header holds id 0."""
+        header_addr = (self._tagged[alloc_id] & ADDRESS_MASK) - HEADER_SIZE
+        if self._n[alloc_id] > SLOT_BITS:
+            self.table.reset_entry(self._key[alloc_id])
             del self._by_header[header_addr]
         else:
-            self._by_header[header_addr] = None
-        if record.scope is not None:
-            del record.scope[header_addr]
-            record.scope = None
-        record.live = False
+            self._by_header[header_addr] = 0
+        scope = self._scope[alloc_id]
+        if scope is not None:
+            del scope[alloc_id]
+            self._scope[alloc_id] = None
         self._live -= 1
 
     @property
     def records(self) -> list[AllocationRecord]:
-        """The live records in allocation order."""
-        return [record for record in self._by_header.values() if record is not None]
+        """The live allocations' records in allocation order."""
+        return [self._record(alloc_id) for alloc_id in self._by_header.values() if alloc_id]
 
     def stats(self) -> dict[str, int]:
         """Live and cumulative totals, kept as allocations are made and

@@ -1,10 +1,10 @@
 """Runtime verification of tagged-pointer accesses.
 
 check_access is the one statement of the bounds rule.  It takes the
-pointer's outcome from Arena.lookup, judges the access against the
-record that returns, and reports any other outcome as its verdict, a
-released object as use after free.  The copy checks and
-check_memset judge each operand through it, naming it only on a violation.
+pointer's outcome from Arena._resolve, judges the access against the
+arena's column row of the id that returns, and reports any other
+outcome as its verdict, a released object as use after free.  The copy
+checks and check_memset judge each operand through it, naming it only on a violation.
 Checks never raise for bad accesses; a replay run keeps going and keeps
 per-kind counts and its violations only, each an event index and a kind
 code in two columns; nothing is kept per event.  The bounds rule for an
@@ -49,36 +49,42 @@ class AccessRequest:
 
 class Checker:
     """Read-only verifier over an arena's metadata; it counts its checks
-    and their small and big header lookups in plain int attributes."""
+    and their small and big header lookups in plain int attributes, and
+    access_checks sums the untracked checks and the two lookup counts."""
 
     def __init__(self, arena: Arena):
         self.arena = arena
-        self.access_checks = self.arith_checks = self.lookups_small = self.lookups_big = 0
+        self.untracked_checks = self.arith_checks = self.lookups_small = self.lookups_big = 0
+
+    @property
+    def access_checks(self) -> int:
+        return self.untracked_checks + self.lookups_small + self.lookups_big
 
     # -- checks -------------------------------------------------------
 
     def check_access(self, req: AccessRequest) -> Verdict:
         """Bounds verdict for one load or store; untracked addresses pass
         unchecked.  The verdict's address is the untagged one."""
-        self.access_checks += 1
         tagged = req.tagged
-        record = self.arena.lookup(tagged)
-        if record is UNTRACKED:
+        arena = self.arena
+        found = arena._resolve(tagged)
+        if found is UNTRACKED:
+            self.untracked_checks += 1
             return Verdict(UNTRACKED, tagged)
         if tagged >> 63:
             self.lookups_small += 1
         else:
             self.lookups_big += 1
         addr = tagged & ADDRESS_MASK
-        if record is None or record is OUT_OF_FRAME:
-            return Verdict(record or USE_AFTER_FREE, addr)
-        obj_base = record.obj_base
-        if addr < obj_base:
-            return Verdict(UNDERFLOW, addr, record.id)
-        if addr + req.access_size > obj_base + record.raw_size:
-            return Verdict(OVERFLOW, addr, record.id)
+        if not found or found is OUT_OF_FRAME:
+            return Verdict(found or USE_AFTER_FREE, addr)
+        offset = addr - (arena._tagged[found] & ADDRESS_MASK)    # from the object base
+        if offset < 0:
+            return Verdict(UNDERFLOW, addr, found)
+        if offset + req.access_size > arena._raw_size[found]:
+            return Verdict(OVERFLOW, addr, found)
         # tuple.__new__ skips the named tuple's Python-level __new__
-        return _new(Verdict, (OK, addr, record.id, None))
+        return _new(Verdict, (OK, addr, found, None))
 
     def _operand(self, tagged: int, n: int, operand: str) -> Verdict:
         """check_access of one copy operand, labelled only on a violation."""

@@ -151,7 +151,8 @@ _ALLOC, _ALLOC_ARRAY, _REALLOC, _FREE, _LOAD, _STORE, _PTR_ADD, _SCOPE_BEGIN = m
 _N_FIELDS = tuple(len(spec.fields) for spec in _GRAMMAR.values())    # by op code
 
 
-def _rows(records: Iterable, line: bool, refused, names: list[str], columns: list | None = None):
+def _rows(records: Iterable, line: bool, refused, names: list[str], columns: list | None = None,
+          defined: dict | None = None):
     """The trace rules, stated once, over lines of text if line, else over
     TraceEvents: each becomes the row (label, its line number or event
     index; op code; id and id2 indexes in names, which gains each new id;
@@ -159,8 +160,12 @@ def _rows(records: Iterable, line: bool, refused, names: list[str], columns: lis
     reason) at its first failed check: the op, the argument count, each
     used id (dst before src), each field (an int, or a token int(tok, 0)
     reads, then in bounds), the alloc_array product, the scope depth.  So
-    an event gets its line's reason.  Rows are appended to columns, if
-    given, through `_widened`; else each is yielded at its record's turn."""
+    an event gets its line's reason: a field is read as its str, and an
+    event with an id that is no token of its line is read as that line,
+    sharing defined.  Rows are appended to columns, if given, through
+    `_widened`; else each is yielded at its record's turn."""
+    def token(name) -> bool:    # an event id that its line holds as one token
+        return name.__class__ is str and "#" not in name and name.split() == [name]
     table = {}      # each op's entry, compiled from `_GRAMMAR` for this form
     for code, (op, (n_ids, fields, optional, defines, scope)) in enumerate(_GRAMMAR.items()):
         first = 1 + n_ids if line else 0       # where the fields start, in tokens or in args
@@ -168,7 +173,7 @@ def _rows(records: Iterable, line: bool, refused, names: list[str], columns: lis
                         None if hi == math.inf else hi) for col, (name, lo, hi) in enumerate(fields))
         most = first + len(fields)
         table[op] = code, n_ids, most - optional, most, n_ids - first, checks, defines, scope
-    defined, depth = {}, 0      # each id to its index in names; the scope depth
+    defined, depth = {} if defined is None else defined, 0     # each id to its index in names
     ops, ids, ids2, f1, f2 = columns or (None,) * 5
     for label, record in enumerate(records, 1 if line else 0):
         if line:
@@ -184,24 +189,28 @@ def _rows(records: Iterable, line: bool, refused, names: list[str], columns: lis
         except KeyError:
             raise refused(label, f"unknown operation {cut(record[0])}") from None
         if len(fields) != most:
-            if len(fields) != fewest:
+            if len(fields) != fewest and (line or all(map(token, record[1:1 + n_ids]))):
                 raise refused(label, f"{record[0]} takes {fewest + shift}..{most + shift} "
                                      f"arguments, got {len(fields) + shift}")
             checks = checks[:-1]    # the optional field, left off, reads as 0
-        if defines and record[1] not in defined:
+        if defines and record[1] not in defined and (line or token(record[1])):
             defined[record[1]] = len(names)
             names.append(record[1])
-        try:    # dst before src
+        try:    # dst before src; an id in defined is a token
             ix = defined[record[1]] if n_ids else 0
             ix2 = defined[record[2]] if n_ids == 2 else 0
         except KeyError as e:
-            raise refused(label, f"undefined id {cut(e.args[0])}") from None
+            if line or all(map(token, record[1:1 + n_ids])):
+                raise refused(label, f"undefined id {cut(e.args[0])}") from None
+            text = " ".join(map(str, (*record[:1 + n_ids], *fields)))     # the event's line
+            yield label, *next(_rows([text], True, refused, names, None, defined))[1:]
+            continue
         v1 = v2 = 0
         for i, col, field, lo, hi, low, high in checks:
             v = tok = fields[i]
             if line or v.__class__ is not int:     # a line's fields are all tokens
                 try:
-                    v = int(tok, 0)
+                    v = int(tok if line else str(tok), 0)
                 except (TypeError, ValueError):
                     raise refused(label, f"{field} {cut(str(tok))} is not an integer") from None
             if low is not None and v < low or high is not None and v > high:

@@ -20,12 +20,12 @@ the entry's key; release names the entry by that key, so vacating it
 does no frame math.  Only entry_index knows the table layout.
 
 DivisionTable.header_lookup is the only code that turns a tagged
-pointer into a header address, and Arena.lookup is its only caller: it
-decides what the resolved header means for the pointer.
-Checker.check_access, which the copy
-checks also go through, and the arena's free and realloc all call
-Arena.lookup, so the slot arithmetic, the entry read and their
-interpretation are written once.
+pointer into a header address, and Arena._resolve is its only caller:
+it decides what the resolved header means for the pointer, the id of
+a live allocation or an outcome.  Checker.check_access, which the copy
+checks also go through, the arena's free and realloc, and Arena.lookup
+all call Arena._resolve, so the slot arithmetic, the entry read and
+their interpretation are written once.
 """
 
 from __future__ import annotations

@@ -21,6 +21,7 @@ TAG_SHIFT = 48
 TAG_MASK = 0x7FFF
 MIN_BIG_TAG = SLOT_BITS + 1    # frames up to a slot are slot-addressed instead
 MAX_BIG_TAG = 48    # no wrapper frame exceeds the 48-bit space
+_TAG_BITS = ~ADDRESS_MASK    # the flag and tag bits, built once, not per rebase
 
 
 class TagError(ValueError):
@@ -40,4 +41,4 @@ def rebase(p: int, new_addr: int) -> int:
     """
     if new_addr >> TAG_SHIFT:    # negative, or past the 48-bit space
         raise TagError(f"address {new_addr:#x} outside the 48-bit space")
-    return (p & ~ADDRESS_MASK) | new_addr
+    return (p & _TAG_BITS) | new_addr

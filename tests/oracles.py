@@ -108,7 +108,7 @@ def lookup_oracle(arena, records, tagged: int):
     """Reference Arena.lookup: UNTRACKED, OUT_OF_FRAME, the live record
     at the resolved header or None, from is_untagged,
     header_lookup_oracle and a scan of records, every record the caller
-    allocated in arena.
+    allocated in arena; one is live while arena.records holds its equal.
 
     Release clears the header and keeps no record: a released
     big-framed object leaves only its vacated entry, so a small-framed
@@ -121,10 +121,11 @@ def lookup_oracle(arena, records, tagged: int):
         header = header_lookup_oracle(arena.table, tagged)
     except ArenaRangeError:
         return VerdictKind.OUT_OF_FRAME
+    live = arena.records
     found = [r for r in records if r.header_addr == header]
-    if split_pointer(tagged)[0] and not any(r.live or split_pointer(r.tagged)[0] for r in found):
+    if split_pointer(tagged)[0] and not any(r in live or split_pointer(r.tagged)[0] for r in found):
         return VerdictKind.OUT_OF_FRAME
-    return next((r for r in found if r.live), None)
+    return next((r for r in found if r in live), None)
 
 
 def check_access_oracle(arena, records, tagged: int, size: int,

@@ -831,12 +831,15 @@ _event_ints = st.one_of(st.integers(1, 64), st.integers(1, 64), st.integers(-2, 
 @st.composite
 def _any_events(draw):
     """An event of any op, usually one that allocates, with any field
-    count, usually its op's, and ids of one token each."""
+    count, usually its op's, fields that are usually ints and at times
+    the bytes of one, and ids that are usually one token each and at
+    times none, two, or one cut by a comment."""
     op = draw(st.sampled_from(["alloc"] * 4 + ["alloc_array"] * 2 + [*_GRAMMAR, "bogus"]))
     n = len(_GRAMMAR[op].fields) if op in _GRAMMAR else 0
     k = draw(st.sampled_from([n] * 12 + [0, 1, 2, 3]))
-    args = draw(st.lists(_event_ints, min_size=k, max_size=k))
-    ids = st.sampled_from(["a", "b"])
+    fields = st.one_of(*[_event_ints] * 9, _event_ints.map(lambda v: str(v).encode()))
+    args = draw(st.lists(fields, min_size=k, max_size=k))
+    ids = st.sampled_from(["a", "b"] * 6 + ["", "a b", "a#b", "#"])
     return TraceEvent(op, draw(ids), draw(ids), tuple(args))
 
 
@@ -980,12 +983,29 @@ def test_rebinding_an_id_resets_its_cursor(rebind):
      "type_id 4294967296 outside [0, 4294967295]"),
     (TraceEvent("alloc_array", id="b", args=(70000, 70000)),
      "count * elem_size 4900000000 outside [1, 4294967295]"),
+    # bytes that int(tok, 0) would read are no int and no str: the line's token is b'12'
+    (TraceEvent("alloc", id="b", args=(b"12", 0)), "size \"b'12'\" is not an integer"),
+    # an id that is not one token is read as its line: alloc  8 0, load  0 1,
+    # load a b 0 1 and free # (free a#b frees a)
+    (TraceEvent("alloc", id="", args=(8, 0)), "size 0 outside [1, 4294967295]"),
+    (TraceEvent("load", id="", args=(0, 1)), "load takes 3..3 arguments, got 2"),
+    (TraceEvent("load", id="a b", args=(0, 1)), "load takes 3..3 arguments, got 4"),
+    (TraceEvent("free", id="#"), "free takes 1..1 arguments, got 0"),
 ])
 def test_events_parse_trace_refuses_are_runtime_errors(event, message):
     # parse_trace refuses such a line, so the event is built by hand
     with pytest.raises(TraceRuntimeError) as e:
         run_trace([TraceEvent("alloc", id="a", args=(40, 0)), event])
     assert str(e.value) == message
+
+
+def test_an_event_whose_id_is_no_token_replays_as_its_line():
+    # alloc  8 5 defines the id 8, as its line does, and no id ""
+    events = [TraceEvent("alloc", "", "", (8, 5)), TraceEvent("load", "8", "", (4, 4))]
+    assert run_trace(events) == run_trace(parse_trace("alloc 8 5\nload 8 4 4\n"))
+    with pytest.raises(TraceRuntimeError) as e:
+        run_trace([*events, TraceEvent("load", "", "", (4, 4))])
+    assert str(e.value) == "load takes 3..3 arguments, got 2"
 
 
 _HUGE_SIZE = f"header size 1{'0' * 39}... (5001 characters) not a 32-bit value"
