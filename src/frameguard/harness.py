@@ -53,6 +53,7 @@ import math
 import random
 from array import array
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain, count
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -151,6 +152,28 @@ _ALLOC, _ALLOC_ARRAY, _REALLOC, _FREE, _LOAD, _STORE, _PTR_ADD, _SCOPE_BEGIN = m
 _N_FIELDS = tuple(len(spec.fields) for spec in _GRAMMAR.values())    # by op code
 
 
+def _token(name) -> bool:    # an event op or id that its line holds as one token
+    return name.__class__ is str and "#" not in name and name.split() == [name]
+
+
+def _reread(line: bool, refused, names: list[str], defined: dict, label: int, record,
+            n_ids: int, reason: str) -> tuple:
+    """`_rows`'s row of record, an event read as its line, if the line holds a token but
+    not each op, id and field of record as one; else raise refused(label, reason).  At a
+    field, the line keeps the event's op and ids, so the rows differ only in fields."""
+    def word(part) -> str:
+        try:
+            return str(part)
+        except ValueError:      # an int too long for str(); int(tok, 0) reads its hex
+            return hex(part)
+    words = () if line else (*record[:1 + n_ids], *map(word, record[3]))
+    row = not all(map(_token, words)) and next(
+        _rows([" ".join(map(word, words))], True, refused, names, None, defined), None)
+    if not row:
+        raise refused(label, reason) from None
+    return label, *row[1:]
+
+
 def _rows(records: Iterable, line: bool, refused, names: list[str], columns: list | None = None,
           defined: dict | None = None):
     """The trace rules, stated once, over lines of text if line, else over
@@ -161,11 +184,9 @@ def _rows(records: Iterable, line: bool, refused, names: list[str], columns: lis
     used id (dst before src), each field (an int, or a token int(tok, 0)
     reads, then in bounds), the alloc_array product, the scope depth.  So
     an event gets its line's reason: a field is read as its str, and an
-    event with an id that is no token of its line is read as that line,
-    sharing defined.  Rows are appended to columns, if given, through
-    `_widened`; else each is yielded at its record's turn."""
-    def token(name) -> bool:    # an event id that its line holds as one token
-        return name.__class__ is str and "#" not in name and name.split() == [name]
+    event refused with an op, id or field that is no one token of its line
+    is read as that line, sharing defined.  Rows are appended to columns,
+    if given, through `_widened`; else each is yielded at its record's turn."""
     table = {}      # each op's entry, compiled from `_GRAMMAR` for this form
     for code, (op, (n_ids, fields, optional, defines, scope)) in enumerate(_GRAMMAR.items()):
         first = 1 + n_ids if line else 0       # where the fields start, in tokens or in args
@@ -174,6 +195,7 @@ def _rows(records: Iterable, line: bool, refused, names: list[str], columns: lis
         most = first + len(fields)
         table[op] = code, n_ids, most - optional, most, n_ids - first, checks, defines, scope
     defined, depth = {} if defined is None else defined, 0     # each id to its index in names
+    reread = partial(_reread, line, refused, names, defined)    # called at a refusal only
     ops, ids, ids2, f1, f2 = columns or (None,) * 5
     for label, record in enumerate(records, 1 if line else 0):
         if line:
@@ -187,23 +209,22 @@ def _rows(records: Iterable, line: bool, refused, names: list[str], columns: lis
         try:
             code, n_ids, fewest, most, shift, checks, defines, scope = table[record[0]]
         except KeyError:
-            raise refused(label, f"unknown operation {cut(record[0])}") from None
+            yield reread(label, record, 1, f"unknown operation {cut(record[0])}")
+            continue
         if len(fields) != most:
-            if len(fields) != fewest and (line or all(map(token, record[1:1 + n_ids]))):
-                raise refused(label, f"{record[0]} takes {fewest + shift}..{most + shift} "
-                                     f"arguments, got {len(fields) + shift}")
+            if len(fields) != fewest:
+                yield reread(label, record, n_ids, f"{record[0]} takes {fewest + shift}.."
+                             f"{most + shift} arguments, got {len(fields) + shift}")
+                continue
             checks = checks[:-1]    # the optional field, left off, reads as 0
-        if defines and record[1] not in defined and (line or token(record[1])):
+        if defines and record[1] not in defined and (line or _token(record[1])):
             defined[record[1]] = len(names)
             names.append(record[1])
         try:    # dst before src; an id in defined is a token
             ix = defined[record[1]] if n_ids else 0
             ix2 = defined[record[2]] if n_ids == 2 else 0
         except KeyError as e:
-            if line or all(map(token, record[1:1 + n_ids])):
-                raise refused(label, f"undefined id {cut(e.args[0])}") from None
-            text = " ".join(map(str, (*record[:1 + n_ids], *fields)))     # the event's line
-            yield label, *next(_rows([text], True, refused, names, None, defined))[1:]
+            yield reread(label, record, n_ids, f"undefined id {cut(e.args[0])}")
             continue
         v1 = v2 = 0
         for i, col, field, lo, hi, low, high in checks:
@@ -212,9 +233,13 @@ def _rows(records: Iterable, line: bool, refused, names: list[str], columns: lis
                 try:
                     v = int(tok if line else str(tok), 0)
                 except (TypeError, ValueError):
-                    raise refused(label, f"{field} {cut(str(tok))} is not an integer") from None
+                    v1, v2 = reread(label, record, n_ids,
+                                    f"{field} {cut(str(tok))} is not an integer")[4:]
+                    break
             if low is not None and v < low or high is not None and v > high:
-                raise refused(label, f"{field} {cut(tok, False)} outside [{lo}, {hi}]")
+                v1, v2 = reread(label, record, n_ids,
+                                f"{field} {cut(tok, False)} outside [{lo}, {hi}]")[4:]
+                break
             if col:
                 v2 = v
             else:
@@ -332,13 +357,15 @@ _SHAPES = {op: (spec.ids, len(spec.fields), spec.optional) for op, spec in _GRAM
 def format_trace(events: Sequence[TraceEvent]) -> str:
     """Serialize events back to trace text (inverse of parse_trace), one
     f-string per line by the op's `_SHAPES` row; args that do not fit it
-    raise TypeError."""
+    raise TypeError.  An optional field left off is written as one that is 0."""
     lines = []
     append = lines.append
     for op, name, name2, args in events:
         n_ids, n, optional = _SHAPES[op]
         if len(args) != n:
-            raise TypeError(f"{op} takes {n} args, got {len(args)}")
+            if len(args) != n - optional:
+                raise TypeError(f"{op} takes {n} args, got {len(args)}")
+            args = (*args, 0)
         if n == 2:      # an optional field that is 0 is left off
             append(f"{op} {name} {args[0]} {args[1]}" if args[1] or not optional
                    else f"{op} {name} {args[0]}")

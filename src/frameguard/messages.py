@@ -5,11 +5,12 @@ import math
 SHOWN = 40      # characters of a token a message shows, between any quotes
 
 
-def cut(tok: str | int, quoted: bool = True) -> str:
+def cut(tok: object, quoted: bool = True) -> str:
     """tok as an error message shows it: past SHOWN characters, cut, with
     its length.  Quoted, the bound is on its repr, so escapes count at
     their width.  An int shows as its decimal string would, unquoted, but
-    only its leading digits are converted, so no int is too long to show."""
+    only its leading digits are converted, so no int is too long to show;
+    anything else, as its str."""
     if isinstance(tok, int):
         # the digits past the first 40 or more, dropped before converting
         dropped = max(0, int((abs(tok).bit_length() - 1) * math.log10(2)) - SHOWN)
@@ -17,6 +18,7 @@ def cut(tok: str | int, quoted: bool = True) -> str:
         head, length = head[:SHOWN], len(head) + dropped
         k = len(head)
     else:
+        tok = str(tok)
         length = len(tok)
         k = min(length, SHOWN)
         # an escape such as \U000e0001 shows 10 characters for one

@@ -344,21 +344,20 @@ def test_a_live_allocation_keeps_its_row_and_its_header_address():
     # allocation kept 269 B and 327 B
     assert _bytes_kept_per_allocation(64, cycle=_alloc) < 140
     assert _bytes_kept_per_allocation(1 << 16, cycle=_alloc) < 200
-
-
-def test_a_dead_big_framed_allocation_keeps_only_its_table_entry():
-    # about 96 B: the division-table entry the paper leaves vacated and
-    # the allocation's 33 B column row; a stored record with its frame
-    # kept 423 B
-    assert _bytes_kept_per_allocation(1 << 17) <= 120
-    # a dead small-framed object keeps its cleared header: a stored
-    # record kept about 269 B, and 365 B with a frame tuple
-    assert _bytes_kept_per_allocation(64) <= 365
+    # 20,000 falls early in the growth cycle of _by_header and the
+    # division table's dict; 22,000 falls just after they resize, and
+    # read 157.6 and 249.0 B on Python 3.11 and 3.13, the most between
+    # 10,000 and 40,000
+    assert _bytes_kept_per_allocation(64, 22_000, _alloc) < 166
+    assert _bytes_kept_per_allocation(1 << 16, 22_000, _alloc) < 262
 
 
 def test_a_dead_allocation_of_either_class_keeps_at_most_120_bytes():
-    # release keeps no record of either class: about 96 B each, a
-    # vacated entry or a cleared header by address, and the column row
+    # release keeps no record of either class: about 96 B each, the 33 B
+    # column row and, by address, the division-table entry the paper
+    # leaves vacated or the cleared header.  A stored record kept about
+    # 269 B for a small-framed object and 423 B with its frame for a
+    # big-framed one
     for size in (64, 1 << 17):
         assert _bytes_kept_per_allocation(size) <= 120, size
 

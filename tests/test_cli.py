@@ -17,6 +17,7 @@ from frameguard.harness import (
     _GRAMMAR,
     EngineConfig,
     WorkloadParams,
+    emit_report,
     format_trace,
     gen_workload,
     parse_trace,
@@ -207,6 +208,14 @@ def test_offset_outside_address_space_exits_2(tmp_path, capsys):
 _DIGITS = "9" * 4000      # an int every parser accepts; its hex form has 3,322 digits
 _TOKEN = "9" * 5000       # past int()'s 4,300-digit limit: argparse echoes the token
 _WORD = "x" * 5000
+_TRACES = {
+    "t.txt": "alloc a 8\n",
+    # a 4,301-digit offset, past int()'s limit, and an 8,600-digit alloc_array product
+    "offset.txt": "alloc a 8\nload a " + "1" * 4301 + " 1\n",
+    "product.txt": "alloc_array a " + "9" * 4300 + " " + "9" * 4300 + "\n",
+    # a 5,000-character id moved past the 48-bit space
+    "id.txt": f"alloc {_WORD} 8\nload {_WORD} 0x1000000000000 1\n",
+}
 
 
 @pytest.mark.parametrize("argv, start", [
@@ -223,11 +232,16 @@ _WORD = "x" * 5000
     (["gen", "--seed", "1", "--objects", "2", "--fault-kinds", _WORD], "unknown fault kind 'xxx"),
     (["run", "t.txt", _WORD], "unrecognized arguments: xxx"),
     (["gen", "--seed", "1", "--objects", "2", "--out", _WORD], "[Errno "),
+    (["run", "offset.txt"], "line 2: offset '111"),
+    (["run", "product.txt"], "line 1: count * elem_size 999"),
+    (["run", "id.txt"], "offset 281474976710656 moves 'xxx"),
 ], ids=["pad", "jitter", "arena_base", "arena_size", "pad_token", "seed_token",
-        "objects_token", "faults_token", "sizes", "fault_kinds", "unrecognized", "out_path"])
+        "objects_token", "faults_token", "sizes", "fault_kinds", "unrecognized", "out_path",
+        "trace_offset", "trace_product", "trace_id"])
 def test_an_error_line_cuts_long_operands(argv, start, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "t.txt").write_text("alloc a 8\n")
+    for name, text in _TRACES.items():
+        (tmp_path / name).write_text(text)
     try:
         status = main(argv)
     except SystemExit as exc:    # argparse refusing an argument
@@ -352,6 +366,41 @@ def test_a_closed_stdin_exits_2_with_one_line():
     proc = subprocess.run(["sh", "-c", '"$0" -m frameguard run - <&-', sys.executable],
                           capture_output=True, text=True)
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", _CLOSED.format("input"))
+
+
+@pytest.mark.parametrize("argv, status, err", [
+    (["run", "TRACE"], 2, _CLOSED.format("output")),
+    (_GEN, 2, _CLOSED.format("output")),
+    (_GEN + ["--out", "TRACE"], 0, ""),      # writing a file needs no stdout
+], ids=["run", "gen", "gen_out"])
+def test_a_closed_stdout_exits_2_with_one_line_unless_gen_writes_a_file(argv, status, err,
+                                                                        tmp_path):
+    trace = tmp_path / "t.txt"
+    trace.write_text("alloc a 8\n")
+    argv = [str(trace) if arg == "TRACE" else arg for arg in argv]
+    proc = subprocess.run(["sh", "-c", '"$0" -m frameguard "$@" >&-', sys.executable, *argv],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (status, err)
+    if status == 0:
+        assert trace.read_text() == format_trace(gen_workload(5, WorkloadParams(objects=2))[0])
+
+
+# README's CLI example with gen piped into run: the CLI alone decides the exit status
+_README_GEN = ("gen --seed 7 --objects 1000 --faults 0.1 "
+               "--fault-kinds overflow,underflow,double_free")
+
+
+@pytest.mark.parametrize("flag, status", [("--fail-on-violation", 1), ("", 0)],
+                         ids=["fail_on_violation", "no_flag"])
+def test_gen_piped_into_run_exits_1_only_under_fail_on_violation(flag, status):
+    proc = subprocess.run(["sh", "-c", f'"$0" -m frameguard {_README_GEN} '
+                           f'| "$0" -m frameguard run - {flag}', sys.executable],
+                          capture_output=True, text=True)
+    events, manifest = gen_workload(7, WorkloadParams(
+        objects=1000, fault_rate=0.1, fault_kinds=("overflow", "underflow", "double_free")))
+    report = run_trace(events)
+    assert len(report.violations) == len(manifest) > 0
+    assert (proc.returncode, proc.stdout, proc.stderr) == (status, emit_report(report), "")
 
 
 def test_an_argument_error_with_stderr_closed_exits_2(monkeypatch):

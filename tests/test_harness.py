@@ -501,8 +501,9 @@ def test_each_op_formats_to_its_exact_line():
         line + "\n" for _, line in _EXACT_LINES)
 
 
+# alloc takes one field or two: its type id may be left off
 @pytest.mark.parametrize("op, args", [
-    ("alloc", (0,)), ("alloc", (8,)), ("alloc", (8, 0, 1)), ("load", (1,)),
+    ("alloc", ()), ("alloc", (8, 0, 1, 2)), ("alloc", (8, 0, 1)), ("load", (1,)),
     ("load", (1, 2, 3)), ("free", (5,)), ("scope_begin", (1,)),
 ])
 def test_args_that_do_not_fit_their_op_raise_type_error(op, args):
@@ -781,6 +782,9 @@ def test_an_event_with_the_wrong_field_count_is_a_runtime_error(op, args):
 def test_an_alloc_event_may_leave_its_type_id_off():
     events = [TraceEvent("alloc", "a", "", (40,)), TraceEvent("store", "a", "", (38, 4))]
     assert run_trace(events) == run_trace(parse_trace("alloc a 40\nstore a 38 4\n"))
+    # format_trace writes it as it writes a type id of 0
+    text = format_trace(events)
+    assert text == "alloc a 40\nstore a 38 4\n" and format_trace(parse_trace(text)) == text
 
 
 def _reading(events, read):
@@ -830,14 +834,17 @@ _event_ints = st.one_of(st.integers(1, 64), st.integers(1, 64), st.integers(-2, 
 
 @st.composite
 def _any_events(draw):
-    """An event of any op, usually one that allocates, with any field
-    count, usually its op's, fields that are usually ints and at times
-    the bytes of one, and ids that are usually one token each and at
-    times none, two, or one cut by a comment."""
-    op = draw(st.sampled_from(["alloc"] * 4 + ["alloc_array"] * 2 + [*_GRAMMAR, "bogus"]))
+    """An event of any op, usually one that allocates, at times one that
+    is no token of its line, with any field count, usually its op's,
+    fields that are usually ints and at times the bytes of one or a str
+    that is no token of its line, and ids that are usually one token each
+    and at times none, two, or one cut by a comment."""
+    op = draw(st.sampled_from(["alloc"] * 4 + ["alloc_array"] * 2
+                              + [*_GRAMMAR, "bogus", "alloc a", " alloc"]))
     n = len(_GRAMMAR[op].fields) if op in _GRAMMAR else 0
     k = draw(st.sampled_from([n] * 12 + [0, 1, 2, 3]))
-    fields = st.one_of(*[_event_ints] * 9, _event_ints.map(lambda v: str(v).encode()))
+    fields = st.one_of(*[_event_ints] * 9, _event_ints.map(lambda v: str(v).encode()),
+                       st.sampled_from(["8 0", "8#x", " 8", "8 ", "0 1#", "x y", ""]))
     args = draw(st.lists(fields, min_size=k, max_size=k))
     ids = st.sampled_from(["a", "b"] * 6 + ["", "a b", "a#b", "#"])
     return TraceEvent(op, draw(ids), draw(ids), tuple(args))
@@ -991,6 +998,20 @@ def test_rebinding_an_id_resets_its_cursor(rebind):
     (TraceEvent("load", id="", args=(0, 1)), "load takes 3..3 arguments, got 2"),
     (TraceEvent("load", id="a b", args=(0, 1)), "load takes 3..3 arguments, got 4"),
     (TraceEvent("free", id="#"), "free takes 1..1 arguments, got 0"),
+    # so is an op or a str field: alloc a b 8, load a 0 1 2, alloc b  0 0
+    (TraceEvent("alloc a", id="b", args=(8,)), "size 'b' is not an integer"),
+    (TraceEvent("load", id="a", args=(0, "1 2")), "load takes 3..3 arguments, got 4"),
+    (TraceEvent("alloc", id="b", args=(" 0", 0)), "size 0 outside [1, 4294967295]"),
+    # an operand that is no str and no int is shown as its str, as in its line
+    (TraceEvent(None), "unknown operation 'None'"),
+    (TraceEvent("alloc", id="b", args=(Decimal(0), 0)), "size 0 outside [1, 4294967295]"),
+    # a line that holds no token keeps the event's own reason
+    (TraceEvent(""), "unknown operation ''"),
+    (TraceEvent("#"), "unknown operation '#'"),
+    # an int too long for str() is written as its hex: alloc  0x... 0, alloc  8 0x...
+    (TraceEvent("alloc", args=(10 ** 5000, 0)), "size 0 outside [1, 4294967295]"),
+    (TraceEvent("alloc", args=(8, 10 ** 5000)),
+     f"size {hex(10 ** 5000)[:40]}... (4155 characters) outside [1, 4294967295]"),
 ])
 def test_events_parse_trace_refuses_are_runtime_errors(event, message):
     # parse_trace refuses such a line, so the event is built by hand
@@ -1006,6 +1027,16 @@ def test_an_event_whose_id_is_no_token_replays_as_its_line():
     with pytest.raises(TraceRuntimeError) as e:
         run_trace([*events, TraceEvent("load", "", "", (4, 4))])
     assert str(e.value) == "load takes 3..3 arguments, got 2"
+
+
+def test_an_event_whose_op_or_field_is_no_token_replays_as_its_line():
+    # alloc a 8 0 leaves off no field, and # ends alloc b 8 and load b 0 9
+    events = [TraceEvent("alloc", "a", "", ("8 0",)), TraceEvent("alloc", "b", "", ("8#x", 0)),
+              TraceEvent(" store", "a", "", (7, 1)), TraceEvent("load", "b", "", (0, "9#"))]
+    report = run_trace(events)
+    assert report == run_trace(parse_trace("alloc a 8 0\nalloc b 8#x 0\n store a 7 1\n"
+                                           "load b 0 9#\n"))
+    assert report.violations == [(3, "overflow")] and report.verdicts["ok"] == 1
 
 
 _HUGE_SIZE = f"header size 1{'0' * 39}... (5001 characters) not a 32-bit value"
